@@ -145,7 +145,7 @@ def cmd_analyze(args) -> int:
             for names in block["sets"]:
                 print("  {" + ", ".join(names) + "}")
         if args.marking_report:
-            print(siphon_trap_report(net, marking, engine=args.engine, budget=budget).to_text())
+            print(report.to_text())
     return 0
 
 

@@ -2,25 +2,24 @@
 
 The solver is a small CDCL: two watched literals per clause, first-UIP
 conflict learning with backjumping, no restarts, no clause deletion.
-Decisions assign False before True so discovered models are biased small;
-with the default "fixed" heuristic variables are picked lowest index
-first, with "activity" a bump/decay score picks them (ties by index).
+Branching is fixed: the lowest-index unassigned variable, False before
+True, so discovered models are biased small. Learned clauses are stored
+with the asserting literal first and the rest by decreasing decision
+level, so when a watch moves, the replacement is usually found at once
+rather than behind a run of literals false since an early level (each
+assumption is a level of its own).
 
 Enumeration solves, shrinks the model to an inclusion-minimal one by
 re-solving under assumptions, posts a clause that excludes the found set
 and all its supersets, and repeats until UNSAT or the budget runs out.
 """
 
-import heapq
 import time
 from enum import Enum
 
 from .encoding import Assignment, CnfFormula, VarMap, blocking_clause, encode_siphon, evaluate
 from .net import PetriNet
 from .search import Budget, BudgetClock, EnumerationResult, SearchStats
-
-_RESCALE = 1e100
-_DECAY = 1 / 0.95
 
 
 class SolveStatus(Enum):
@@ -32,11 +31,8 @@ class SolveStatus(Enum):
 class SatSolver:
     """Incremental CDCL solver over a CnfFormula; clauses may be added between calls."""
 
-    def __init__(self, formula: CnfFormula, heuristic: str = "fixed"):
-        if heuristic not in ("fixed", "activity"):
-            raise ValueError(f"unknown heuristic {heuristic!r}")
+    def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
-        self._use_activity = heuristic == "activity"
         n = self.num_vars
         self.assign = [0] * (n + 1)          # 0 unassigned, 1 true, -1 false
         self.level = [0] * (n + 1)
@@ -49,9 +45,7 @@ class SatSolver:
         for v in range(1, n + 1):
             self.watches[v] = []
             self.watches[-v] = []
-        self.activity = [0.0] * (n + 1)
-        self.var_inc = 1.0
-        self._heap = [(0.0, v) for v in range(1, n + 1)]
+        self._next_var = 1                   # every variable below it is assigned
         self._seen = [False] * (n + 1)
         self._unsat = False
         self.model: Assignment | None = None
@@ -80,11 +74,14 @@ class SatSolver:
         if len(self.trail_lim) <= target:
             return
         head = self.trail_lim[target]
-        for lit in reversed(self.trail[head:]):
+        lowest = self._next_var
+        for lit in self.trail[head:]:
             v = lit if lit > 0 else -lit
             self.assign[v] = 0
             self.reason[v] = None
-            heapq.heappush(self._heap, (-self.activity[v], v))
+            if v < lowest:
+                lowest = v
+        self._next_var = lowest
         del self.trail[head:]
         del self.trail_lim[target:]
         self.qhead = len(self.trail)
@@ -175,22 +172,15 @@ class SatSolver:
 
     # -- conflict analysis ----------------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > _RESCALE:
-            for u in range(1, self.num_vars + 1):
-                self.activity[u] *= 1 / _RESCALE
-            self.var_inc *= 1 / _RESCALE
-            self._heap = [(-self.activity[u], u) for u in range(1, self.num_vars + 1)
-                          if self.assign[u] == 0]
-            heapq.heapify(self._heap)
-            return
-        if self.assign[v] == 0:
-            heapq.heappush(self._heap, (-self.activity[v], v))
-
     def _analyze(self, confl: int) -> tuple[list[int], int]:
-        """First-UIP learned clause and the level to jump back to."""
+        """First-UIP learned clause and the level to jump back to.
+
+        The clause is the asserting literal followed by the other literals
+        in decreasing level order, so index 1 holds a literal of the
+        backjump level, as the watch invariant needs.
+        """
         seen = self._seen
+        level = self.level
         cur_level = len(self.trail_lim)
         learned: list[int] = []
         touched: list[int] = []
@@ -203,12 +193,10 @@ class SatSolver:
                 if q == p:
                     continue
                 v = q if q > 0 else -q
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     touched.append(v)
-                    if self._use_activity:
-                        self._bump(v)
-                    if self.level[v] >= cur_level:
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
@@ -222,28 +210,20 @@ class SatSolver:
             clause = self.clauses[self.reason[p if p > 0 else -p]]
         for v in touched:
             seen[v] = False
-        result = [-p] + learned
-        if len(result) == 1:
-            return result, 0
-        best = 1
-        for k in range(2, len(result)):
-            v = result[k] if result[k] > 0 else -result[k]
-            u = result[best] if result[best] > 0 else -result[best]
-            if self.level[v] > self.level[u]:
-                best = k
-        result[1], result[best] = result[best], result[1]
-        v = result[1] if result[1] > 0 else -result[1]
-        return result, self.level[v]
+        if not learned:
+            return [-p], 0
+        learned.sort(key=lambda q: level[q if q > 0 else -q], reverse=True)
+        first = learned[0]
+        return [-p] + learned, level[first if first > 0 else -first]
 
     def _pick_branch(self) -> int:
-        while True:
-            while self._heap:
-                negact, v = heapq.heappop(self._heap)
-                if self.assign[v] == 0 and self.activity[v] == -negact:
-                    return v
-            self._heap = [(-self.activity[v], v) for v in range(1, self.num_vars + 1)
-                          if self.assign[v] == 0]
-            heapq.heapify(self._heap)
+        """The lowest-index unassigned variable; one must exist."""
+        assign = self.assign
+        v = self._next_var
+        while assign[v] != 0:
+            v += 1
+        self._next_var = v
+        return v
 
     # -- main search ----------------------------------------------------------
 
@@ -284,8 +264,6 @@ class SatSolver:
                     self.watches[learned[0]].append(ci)
                     self.watches[learned[1]].append(ci)
                     self._enqueue(learned[0], ci)
-                if self._use_activity:
-                    self.var_inc *= _DECAY
                 if budget.max_conflicts is not None and conflicts_here >= budget.max_conflicts:
                     self._cancel_until(0)
                     return SolveStatus.UNKNOWN
@@ -337,8 +315,7 @@ def minimize_model(formula: CnfFormula, model: Assignment) -> Assignment:
         current = solver.model
 
 
-def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None,
-                          heuristic: str = "fixed") -> EnumerationResult:
+def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> EnumerationResult:
     """All minimal siphons by iterated SAT with non-superset blocking clauses.
 
     Every shrink clause posted during minimization is itself a blocking
@@ -347,7 +324,7 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None,
     exhaustion the result is returned as found so far, flagged timed out.
     """
     formula, varmap = encode_siphon(net)
-    solver = SatSolver(formula, heuristic=heuristic)
+    solver = SatSolver(formula)
     clock = BudgetClock(budget)
     stats = SearchStats()
     result = EnumerationResult(stats=stats)

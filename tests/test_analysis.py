@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from siphons import (Budget, PetriNet, brute_force_minimal_siphons, brute_force_minimal_traps,
                      canonical_order, enumerate_minimal_siphons, enumerate_minimal_traps,
-                     filter_containing, gen_chain, max_trap_within, siphon_trap_report)
+                     filter_containing, gen_3sat_reduction, gen_chain, gen_random_3sat,
+                     gen_random_net, max_trap_within, siphon_trap_report)
 
 from conftest import example2_net, potato_net, random_net_corpus
 
@@ -130,6 +133,21 @@ def test_engines_agree_with_oracle_on_random_nets():
         t_oracle = set(brute_force_minimal_traps(net))
         assert set(enumerate_minimal_traps(net, engine="sat").sets) == t_oracle
         assert set(enumerate_minimal_traps(net, engine="bb").sets) == t_oracle
+
+
+def test_engines_agree_past_oracle_cap():
+    # nets of 13-49 places, too large for the brute-force oracle
+    rng = random.Random(7)
+    nets = [gen_3sat_reduction(gen_random_3sat(n, round(alpha * n), rng.randrange(2 ** 31)))
+            for n in (10, 11, 12) for alpha in (0.0, 2.0, 4.26, 6.0) for _ in range(3)]
+    nets += [gen_random_net(places, places // 3, 3, seed=rng.randrange(2 ** 31))
+             for places in range(13, 41) for _ in range(2)]
+    for net in nets:
+        sat = enumerate_minimal_siphons(net, engine="sat")
+        bb = enumerate_minimal_siphons(net, engine="bb")
+        assert sat.complete and bb.complete
+        assert set(sat.sets) == set(bb.sets)
+        assert all(net.is_siphon(s) for s in sat.sets)
 
 
 def test_budget_passes_through(enzyme):

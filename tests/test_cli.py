@@ -5,7 +5,7 @@ import contextlib
 
 import pytest
 
-from siphons import parse_pnml, parse_reactions
+from siphons import parse_pnml, parse_reactions, siphon_trap_report
 from siphons.cli import main
 
 
@@ -71,6 +71,20 @@ def test_analyze_marking_report(models_dir):
     code, out, _ = run(["analyze", str(models_dir / "enzyme.rxn"), "--marking-report"])
     assert code == 0
     assert "every minimal siphon contains a marked trap: no" in out
+
+
+def test_analyze_marking_report_built_once(models_dir, monkeypatch):
+    calls = []
+
+    def counting_report(*args, **kwargs):
+        calls.append(args)
+        return siphon_trap_report(*args, **kwargs)
+
+    monkeypatch.setattr("siphons.cli.siphon_trap_report", counting_report)
+    code, out, _ = run(["analyze", str(models_dir / "enzyme.rxn"), "--marking-report"])
+    assert code == 0
+    assert "every minimal siphon contains a marked trap: no" in out
+    assert len(calls) == 1
 
 
 def test_analyze_marking_report_json(models_dir):

@@ -10,9 +10,9 @@ from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, encode_siphon,
 from conftest import enzyme_net, example2_net, random_net_corpus
 
 
-def brute_force_status(formula):
+def brute_force_status(formula, assumptions=()):
     for bits in product((False, True), repeat=formula.num_vars):
-        if evaluate(formula, bits):
+        if evaluate(formula, bits) and all(bits[abs(a) - 1] == (a > 0) for a in assumptions):
             return SolveStatus.SAT
     return SolveStatus.UNSAT
 
@@ -116,12 +116,29 @@ def test_solver_matches_brute_force():
             assert evaluate(f, s.model)
 
 
-def test_activity_heuristic_agrees():
-    rng = random.Random(1)
-    for _ in range(100):
-        f = random_formula(rng, rng.randint(1, 8), rng.randint(1, 20))
-        assert (SatSolver(f, heuristic="activity").solve()
-                == SatSolver(f, heuristic="fixed").solve())
+def test_assumptions_match_brute_force_across_rounds():
+    # one solver per formula, reused over rounds of add_clause and solve, so
+    # clauses learned under one call's assumptions take part in later calls
+    rng = random.Random(3)
+    conflicts = 0
+    for _ in range(80):
+        num_vars = rng.randint(1, 8)
+        f = random_formula(rng, num_vars, rng.randint(1, 16))
+        s = SatSolver(f)
+        for _ in range(5):
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.choices(range(1, num_vars + 1), k=rng.randint(0, num_vars))]
+            got = s.solve(assumptions=assumptions)
+            assert got == brute_force_status(f, assumptions)
+            if got == SolveStatus.SAT:
+                assert evaluate(f, s.model)
+                assert all(s.model[abs(a) - 1] == (a > 0) for a in assumptions)
+            clause = [v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))]
+            f.add_clause(clause)
+            s.add_clause(clause)
+        conflicts += s.conflicts
+    assert conflicts > 0
 
 
 def test_minimize_model(enzyme):
