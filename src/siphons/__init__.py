@@ -11,8 +11,7 @@ from .analysis import (SiphonReportRow, SiphonTrapReport, brute_force_minimal_si
                        brute_force_minimal_traps, canonical_order,
                        enumerate_minimal_siphons, enumerate_minimal_traps,
                        filter_containing, max_trap_within, siphon_trap_report)
-from .branch_bound import (Propagator, Strategy, enumerate_minimal_bb,
-                           first_solution_is_minimal_check)
+from .branch_bound import Propagator, enumerate_minimal_bb, first_solution_is_minimal_check
 from .dynamics import (check_siphon_emptiness, check_trap_persistence, random_walk,
                        unmarked_places, walk_trace)
 from .encoding import (Assignment, Clause, CnfFormula, VarMap, blocking_clause,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment", "Budget", "Clause", "CnfFormula", "EnumerationResult", "Marking",
     "NotEnabledError", "ParseError", "PetriNet", "PlaceSet", "Propagator", "SatSolver",
-    "SearchStats", "SiphonReportRow", "SiphonTrapReport", "SolveStatus", "Strategy",
+    "SearchStats", "SiphonReportRow", "SiphonTrapReport", "SolveStatus",
     "ThreeSatInstance", "VarMap", "blocking_clause", "brute_force_minimal_siphons",
     "brute_force_minimal_traps", "canonical_order", "check_siphon_emptiness",
     "check_trap_persistence", "encode_siphon", "enumerate_minimal_bb",

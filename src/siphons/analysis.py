@@ -5,12 +5,13 @@ small brute-force oracles used to cross-check the engines."""
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .branch_bound import Strategy, enumerate_minimal_bb
+from .branch_bound import enumerate_minimal_bb
 from .net import PetriNet, PlaceSet
 from .sat import enumerate_minimal_sat
 from .search import Budget, BudgetClock, EnumerationResult, SearchStats
 
 ENGINES = ("sat", "bb", "oracle")
+ORACLE_MAX_PLACES = 20
 
 
 def canonical_order(net: PetriNet, sets: Iterable[PlaceSet]) -> list[PlaceSet]:
@@ -19,32 +20,27 @@ def canonical_order(net: PetriNet, sets: Iterable[PlaceSet]) -> list[PlaceSet]:
 
 
 def enumerate_minimal_siphons(net: PetriNet, engine: str = "sat",
-                              budget: Budget | None = None,
-                              strategy: Strategy | None = None,
-                              restart: bool = False, trace=None) -> EnumerationResult:
+                              budget: Budget | None = None, trace=None) -> EnumerationResult:
     """All minimal siphons, through the chosen engine."""
     if trace is not None and engine != "bb":
         raise ValueError("search traces are only produced by the bb engine")
     if engine == "sat":
         return enumerate_minimal_sat(net, budget=budget)
     if engine == "bb":
-        return enumerate_minimal_bb(net, strategy=strategy, budget=budget,
-                                    restart=restart, trace=trace)
+        return enumerate_minimal_bb(net, budget=budget, trace=trace)
     if engine == "oracle":
         clock = BudgetClock(budget)
-        sets = brute_force_minimal_siphons(net)
-        stats = SearchStats(solve_calls=1, elapsed_ms=clock.elapsed_ms)
+        sets, timed_out = _oracle(net, net.pre_transitions, net.post_transitions,
+                                  ORACLE_MAX_PLACES, clock)
+        stats = SearchStats(solve_calls=1, elapsed_ms=clock.elapsed_ms, timed_out=timed_out)
         return EnumerationResult(sets=sets, stats=stats)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 def enumerate_minimal_traps(net: PetriNet, engine: str = "sat",
-                            budget: Budget | None = None,
-                            strategy: Strategy | None = None,
-                            restart: bool = False, trace=None) -> EnumerationResult:
+                            budget: Budget | None = None, trace=None) -> EnumerationResult:
     """All minimal traps: the minimal siphons of the arc-reversed net."""
-    return enumerate_minimal_siphons(net.dual(), engine=engine, budget=budget,
-                                     strategy=strategy, restart=restart, trace=trace)
+    return enumerate_minimal_siphons(net.dual(), engine=engine, budget=budget, trace=trace)
 
 
 def filter_containing(sets: Iterable[PlaceSet], required: Iterable[int]) -> list[PlaceSet]:
@@ -75,11 +71,18 @@ def max_trap_within(net: PetriNet, s: Iterable[int]) -> PlaceSet:
         current.difference_update(dropped)
 
 
-def _subset_masks(net: PetriNet, predicate_pre, predicate_post, max_places: int):
-    """Inclusion-minimal nonempty subsets passing pre<=post over bitmasks."""
+def _oracle(net: PetriNet, predicate_pre, predicate_post, max_places: int,
+            clock: BudgetClock | None = None) -> tuple[list[PlaceSet], bool]:
+    """Inclusion-minimal nonempty place sets passing pre<=post, in canonical
+    order, and whether the clock ran out before the scan finished.
+
+    Masks are scanned in increasing order and every submask of a mask is
+    numerically smaller, so the sets kept from a scan cut short by the clock
+    are still globally minimal.
+    """
     n = len(net.places)
     if n == 0:
-        return []
+        return [], False
     if n > max_places:
         raise ValueError(f"net has {n} places; brute force is capped at {max_places}")
     pre = [0] * n
@@ -90,7 +93,11 @@ def _subset_masks(net: PetriNet, predicate_pre, predicate_post, max_places: int)
         for t in predicate_post(p):
             post[p] |= 1 << t
     hits = []
+    timed_out = False
     for mask in range(1, 1 << n):
+        if mask & 4095 == 0 and clock is not None and clock.exhausted():
+            timed_out = True
+            break
         pre_u = 0
         post_u = 0
         m = mask
@@ -107,21 +114,20 @@ def _subset_masks(net: PetriNet, predicate_pre, predicate_post, max_places: int)
     for mask in hits:
         if not any(kept & mask == kept for kept in minimal):
             minimal.append(mask)
-    return minimal
+    sets = [frozenset(p for p in range(n) if mask >> p & 1) for mask in minimal]
+    return canonical_order(net, sets), timed_out
 
 
-def brute_force_minimal_siphons(net: PetriNet, max_places: int = 20) -> list[PlaceSet]:
+def brute_force_minimal_siphons(net: PetriNet,
+                                max_places: int = ORACLE_MAX_PLACES) -> list[PlaceSet]:
     """Oracle: scan all nonempty place subsets; practical up to ~15 places."""
-    masks = _subset_masks(net, net.pre_transitions, net.post_transitions, max_places)
-    sets = [frozenset(p for p in range(len(net.places)) if mask >> p & 1) for mask in masks]
-    return canonical_order(net, sets)
+    return _oracle(net, net.pre_transitions, net.post_transitions, max_places)[0]
 
 
-def brute_force_minimal_traps(net: PetriNet, max_places: int = 20) -> list[PlaceSet]:
+def brute_force_minimal_traps(net: PetriNet,
+                              max_places: int = ORACLE_MAX_PLACES) -> list[PlaceSet]:
     """Trap oracle built directly on the trap condition, no dualization."""
-    masks = _subset_masks(net, net.post_transitions, net.pre_transitions, max_places)
-    sets = [frozenset(p for p in range(len(net.places)) if mask >> p & 1) for mask in masks]
-    return canonical_order(net, sets)
+    return _oracle(net, net.post_transitions, net.pre_transitions, max_places)[0]
 
 
 @dataclass
@@ -177,13 +183,20 @@ class SiphonTrapReport:
 
 
 def siphon_trap_report(net: PetriNet, marking, engine: str = "sat",
-                       budget: Budget | None = None) -> SiphonTrapReport:
+                       budget: Budget | None = None,
+                       siphons: EnumerationResult | None = None) -> SiphonTrapReport:
     """For each minimal siphon: its maximal inner trap and whether that trap
-    is marked under the given marking."""
+    is marked under the given marking.
+
+    `siphons` is an already-computed siphon enumeration of `net`, all of
+    its sets; without it the siphons are enumerated here with `engine`
+    and `budget`.
+    """
     net._check_marking(marking)
-    result = enumerate_minimal_siphons(net, engine=engine, budget=budget)
-    report = SiphonTrapReport(timed_out=result.stats.timed_out)
-    for siphon in canonical_order(net, result.sets):
+    if siphons is None:
+        siphons = enumerate_minimal_siphons(net, engine=engine, budget=budget)
+    report = SiphonTrapReport(timed_out=siphons.stats.timed_out)
+    for siphon in canonical_order(net, siphons.sets):
         trap = max_trap_within(net, siphon)
         marked = any(marking[p] > 0 for p in trap)
         report.rows.append(SiphonReportRow(

@@ -1,263 +1,50 @@
 """Branch-and-bound enumeration of minimal siphons over the same CNF encoding.
 
-Depth-first search with unit propagation; every decision tries 0 before 1,
+Depth-first search with unit propagation on the shared `Propagator`; every
+decision takes the lowest-index unassigned variable and tries 0 before 1,
 which makes the leftmost solution inclusion-minimal and guarantees that no
 later solution is a subset of an earlier one. On each solution the decision
 path is memorized, the search unwinds to the root, a permanent non-superset
 clause is posted, and the path is replayed; replay stops early at the
 deepest prefix still consistent with the new clause and the search resumes
-from there. A restart variant (no replay) is kept for comparison, together
-with decision strategies that diversify it.
+from there.
 """
 
-import random
-import time
-from dataclasses import dataclass
-
-from .encoding import CnfFormula, blocking_clause, encode_siphon
+from .encoding import blocking_clause, encode_siphon
 from .net import PetriNet, format_place_set
-from .search import Budget, BudgetClock, EnumerationResult, SearchStats
+from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchStats,
+                     accept)
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Variable-selection policy: fixed index order, seeded random choice,
-    or preferring variables frequent in the siphons found so far."""
+def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
+    """Yield the place set of each solution of the 0-first search, in order.
 
-    kind: str = "fixed"
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "random", "frequency"):
-            raise ValueError(f"unknown strategy {self.kind!r}")
-
-    @classmethod
-    def fixed(cls) -> "Strategy":
-        return cls("fixed")
-
-    @classmethod
-    def random(cls, seed: int = 0) -> "Strategy":
-        return cls("random", seed)
-
-    @classmethod
-    def frequency(cls) -> "Strategy":
-        return cls("frequency")
-
-
-class Propagator:
-    """Watched-literal clause store with unit propagation over a decision trail."""
-
-    def __init__(self, formula: CnfFormula):
-        self.num_vars = formula.num_vars
-        n = self.num_vars
-        self.assign = [0] * (n + 1)  # 0 unassigned, 1 true, -1 false
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        for v in range(1, n + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
-        self.conflicting = False
-        for clause in formula.clauses:
-            self.add_clause(clause)
-
-    def value(self, var: int) -> bool | None:
-        if not 1 <= var <= self.num_vars:
-            raise ValueError(f"invalid variable {var!r}")
-        a = self.assign[var]
-        return None if a == 0 else a > 0
-
-    @property
-    def num_assigned(self) -> int:
-        return len(self.trail)
-
-    def all_assigned(self) -> bool:
-        return len(self.trail) == self.num_vars
-
-    def true_vars(self) -> list[int]:
-        return [v for v in range(1, self.num_vars + 1) if self.assign[v] > 0]
-
-    def add_clause(self, literals) -> bool:
-        """Post a permanent clause at the root; returns False on root conflict."""
-        if self.trail_lim:
-            raise ValueError("clauses may only be added at the root level")
-        if self.conflicting:
-            return False
-        out, seen = [], set()
-        for lit in literals:
-            if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"bad literal {lit!r}")
-            if -lit in seen:
-                return True  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        live = []
-        for lit in out:
-            a = self.assign[lit if lit > 0 else -lit]
-            if a != 0 and (a > 0) == (lit > 0):
-                return True  # already satisfied at root
-            if a == 0:
-                live.append(lit)
-        if not live:
-            self.conflicting = True
-        elif len(live) == 1:
-            self._enqueue(live[0])
-            self.conflicting = not self.propagate()
-        else:
-            ci = len(self.clauses)
-            self.clauses.append(live)
-            self.watches[live[0]].append(ci)
-            self.watches[live[1]].append(ci)
-        return not self.conflicting
-
-    def _enqueue(self, lit: int) -> None:
-        self.assign[lit if lit > 0 else -lit] = 1 if lit > 0 else -1
-        self.trail.append(lit)
-
-    def propagate(self) -> bool:
-        """Unit-propagate to fixpoint; False when a clause is fully falsified."""
-        assign = self.assign
-        clauses = self.clauses
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -p
-            watchers = self.watches[false_lit]
-            i = j = 0
-            n_watch = len(watchers)
-            while i < n_watch:
-                ci = watchers[i]
-                i += 1
-                clause = clauses[ci]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                a = assign[first if first > 0 else -first]
-                if a != 0 and (a > 0) == (first > 0):
-                    watchers[j] = ci
-                    j += 1
-                    continue
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    a2 = assign[other if other > 0 else -other]
-                    if a2 == 0 or (a2 > 0) == (other > 0):
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[other].append(ci)
-                        break
-                else:
-                    watchers[j] = ci
-                    j += 1
-                    if a == 0:
-                        self._enqueue(first)
-                    else:
-                        while i < n_watch:
-                            watchers[j] = watchers[i]
-                            j += 1
-                            i += 1
-                        del watchers[j:]
-                        self.qhead = len(self.trail)
-                        return False
-            del watchers[j:]
-        return True
-
-    def decide(self, var: int, value: bool) -> bool:
-        """Open a decision level, assign, propagate; False on conflict."""
-        if self.value(var) is not None:
-            raise ValueError(f"variable {var} is already assigned")
-        self.trail_lim.append(len(self.trail))
-        self._enqueue(var if value else -var)
-        return self.propagate()
-
-    def backtrack(self) -> None:
-        """Undo the most recent decision level."""
-        if not self.trail_lim:
-            raise ValueError("already at the root level")
-        head = self.trail_lim.pop()
-        for lit in reversed(self.trail[head:]):
-            self.assign[lit if lit > 0 else -lit] = 0
-        del self.trail[head:]
-        self.qhead = len(self.trail)
-
-    def backtrack_all(self) -> None:
-        while self.trail_lim:
-            self.backtrack()
-
-
-SearchPath = list[tuple[int, bool]]  # (variable, decided value), root to leaf
-
-
-def _make_picker(strategy: Strategy, num_vars: int, counts: list[int]):
-    """Next-unassigned-variable chooser for the given strategy."""
-    if strategy.kind == "fixed":
-        def pick(prop):
-            for v in range(1, num_vars + 1):
-                if prop.assign[v] == 0:
-                    return v
-            return None
-    elif strategy.kind == "random":
-        rng = random.Random(strategy.seed)
-
-        def pick(prop):
-            free = [v for v in range(1, num_vars + 1) if prop.assign[v] == 0]
-            return rng.choice(free) if free else None
-    else:  # frequency among found siphons, ties by index
-        def pick(prop):
-            best = None
-            for v in range(1, num_vars + 1):
-                if prop.assign[v] == 0 and (best is None or counts[v] > counts[best]):
-                    best = v
-            return best
-    return pick
-
-
-def enumerate_minimal_bb(net: PetriNet, strategy: Strategy | None = None,
-                         budget: Budget | None = None, restart: bool = False,
-                         trace=None) -> EnumerationResult:
-    """All minimal siphons by propagation-based depth-first search.
-
-    `trace`, if given, is called with one line per event: `D <var>=<0|1>
-    <depth>` for decisions, `B <depth>` for backtracks, `S {places}` for
-    solutions.
+    Resuming after a solution unwinds to the root, posts its non-superset
+    clause and replays its decision path. Counters go into `stats`; the
+    search ends at a root conflict or when the budget runs out.
     """
     formula, varmap = encode_siphon(net)
     prop = Propagator(formula)
-    strategy = strategy or Strategy.fixed()
     clock = BudgetClock(budget)
-    stats = SearchStats()
-    result = EnumerationResult(stats=stats)
-    stats.solve_calls = 1
-    counts = [0] * (prop.num_vars + 1)
-    pick = _make_picker(strategy, prop.num_vars, counts)
-    if trace is None or callable(trace):
-        emit = trace
-    else:  # file-like
-        emit = lambda line: print(line, file=trace)
+    stack: list[tuple[int, bool]] = []  # decisions; False still has the 1-branch pending
 
-    def note_decision(var, value):
+    def decide(var, value):
+        stack.append((var, value))
         stats.decisions += 1
         if emit:
             emit(f"D {var}={1 if value else 0} {len(stack)}")
+        return prop.decide(var, value)
 
     def out_of_budget():
         clock.conflicts = stats.conflicts
         if clock.exhausted():
             stats.timed_out = True
-            return True
-        return False
+        return stats.timed_out
 
-    def deadline_passed():
-        return stats.decisions % 256 == 0 and out_of_budget()
-
-    stack: list[tuple[int, bool]] = []  # decisions; False still has the 1-branch pending
-    consistent = prop.propagate() and not prop.conflicting
+    stats.solve_calls = 1
+    consistent = not prop.conflicting
     out_of_budget()
-
-    while True:
-        if stats.timed_out:
-            break
+    while not stats.timed_out:
         if not consistent:
             stats.conflicts += 1
             while stack and stack[-1][1]:
@@ -271,91 +58,62 @@ def enumerate_minimal_bb(net: PetriNet, strategy: Strategy | None = None,
             prop.backtrack()
             if emit:
                 emit(f"B {len(stack)}")
-            stack.append((var, True))
-            note_decision(var, True)
-            consistent = prop.decide(var, True)
-            if deadline_passed():
-                break
-            continue
-        if prop.all_assigned():
+            consistent = decide(var, True)
+        elif prop.all_assigned():
             found = frozenset(varmap.place(v) for v in prop.true_vars())
-            if not net.is_siphon(found):
-                raise RuntimeError("enumerated set fails the siphon predicate")
-            if any(prev <= found or found <= prev for prev in result.sets):
-                raise RuntimeError("enumerated sets are not an antichain")
-            result.sets.append(found)
-            for p in found:
-                counts[varmap.var(p)] += 1
-            if emit:
-                emit("S " + format_place_set(net, found))
-            path: SearchPath = stack.copy()
+            yield found
+            path = stack.copy()
             stack.clear()
             prop.backtrack_all()
             stats.solve_calls += 1
-            if not prop.add_clause(blocking_clause(found, varmap)):
-                break  # root conflict: enumeration finished
-            if out_of_budget():
-                break
+            if not prop.add_clause(blocking_clause(found, varmap)) or out_of_budget():
+                break  # a root conflict ends the enumeration
             consistent = True
-            if restart:
-                continue
             for var, value in path:
                 known = prop.value(var)
                 if known is None:
-                    stack.append((var, value))
-                    note_decision(var, value)
-                    consistent = prop.decide(var, value)
+                    consistent = decide(var, value)
                     if not consistent:
                         break
                 elif known != value:
                     break  # this subtree is now cut; resume here
-            if deadline_passed():
-                break
-            continue
-        var = pick(prop)
-        stack.append((var, False))
-        note_decision(var, False)
-        consistent = prop.decide(var, False)
-        if deadline_passed():
-            break
-
+        else:
+            consistent = decide(prop._pick_branch(), False)
+        if stats.decisions % 256 == 0:
+            out_of_budget()
     stats.elapsed_ms = clock.elapsed_ms
+
+
+def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
+                         trace=None) -> EnumerationResult:
+    """All minimal siphons by propagation-based depth-first search.
+
+    `trace`, if given, is called with one line per event: `D <var>=<0|1>
+    <depth>` for decisions, `B <depth>` for backtracks, `S {places}` for
+    solutions.
+    """
+    if trace is None or callable(trace):
+        emit = trace
+    else:  # file-like
+        emit = lambda line: print(line, file=trace)
+    result = EnumerationResult()
+    for found in _solutions(net, result.stats, budget, emit):
+        accept(net, result, found)
+        if emit:
+            emit("S " + format_place_set(net, found))
     return result
 
 
-def first_solution_is_minimal_check(net: PetriNet, strategy: Strategy | None = None) -> bool:
+def first_solution_is_minimal_check(net: PetriNet) -> bool:
     """Run the search to its first solution only and verify minimality by
     checking every proper nonempty subset against the siphon predicate."""
     if len(net.places) > 12:
         raise ValueError("exhaustive minimality check is limited to 12 places")
-    formula, varmap = encode_siphon(net)
-    prop = Propagator(formula)
-    pick = _make_picker(strategy or Strategy.fixed(), prop.num_vars,
-                        [0] * (prop.num_vars + 1))
-    if not prop.propagate() or prop.conflicting:
+    first = next(_solutions(net, SearchStats(), None, None), None)
+    if first is None:
         return True  # no solutions at all
-    stack: list[tuple[int, bool]] = []
-    while not prop.all_assigned():
-        var = pick(prop)
-        stack.append((var, False))
-        if prop.decide(var, False):
-            continue
-        consistent = False
-        while not consistent:
-            while stack and stack[-1][1]:
-                stack.pop()
-                prop.backtrack()
-            if not stack:
-                return True  # UNSAT: nothing to check
-            var, _ = stack.pop()
-            prop.backtrack()
-            stack.append((var, True))
-            consistent = prop.decide(var, True)
-    first = frozenset(varmap.place(v) for v in prop.true_vars())
     members = sorted(first)
-    for mask in range(1, 1 << len(members)):
-        if mask == (1 << len(members)) - 1:
-            continue
+    for mask in range(1, (1 << len(members)) - 1):
         subset = [members[i] for i in range(len(members)) if mask >> i & 1]
         if net.is_siphon(subset):
             return False

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .analysis import (canonical_order, enumerate_minimal_siphons,
                        enumerate_minimal_traps, filter_containing, siphon_trap_report)
-from .branch_bound import Strategy
 from .generators import gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net
 from .encoding import encode_siphon
 from .net import PetriNet, format_place_set
@@ -53,17 +52,8 @@ def _load_model(path: Path, fmt: str | None) -> tuple[PetriNet, tuple[int, ...],
     return net, marking, fmt
 
 
-def _strategy(args) -> Strategy | None:
-    kind = getattr(args, "strategy", None)
-    if kind is None:
-        return None
-    if kind == "random":
-        return Strategy.random(args.seed or 0)
-    return Strategy(kind)
-
-
-def _result_dict(net: PetriNet, result) -> dict:
-    ordered = canonical_order(net, result.sets)
+def _result_dict(net: PetriNet, sets, stats) -> dict:
+    ordered = canonical_order(net, sets)
     sizes = [len(s) for s in ordered]
     return {
         "count": len(ordered),
@@ -71,11 +61,11 @@ def _result_dict(net: PetriNet, result) -> dict:
         "size_min": min(sizes) if sizes else None,
         "size_max": max(sizes) if sizes else None,
         "size_avg": round(sum(sizes) / len(sizes), 3) if sizes else None,
-        "elapsed_ms": round(result.stats.elapsed_ms, 3),
-        "timed_out": result.stats.timed_out,
-        "solve_calls": result.stats.solve_calls,
-        "conflicts": result.stats.conflicts,
-        "decisions": result.stats.decisions,
+        "elapsed_ms": round(stats.elapsed_ms, 3),
+        "timed_out": stats.timed_out,
+        "solve_calls": stats.solve_calls,
+        "conflicts": stats.conflicts,
+        "decisions": stats.decisions,
     }
 
 
@@ -83,7 +73,6 @@ def cmd_analyze(args) -> int:
     path = Path(args.model)
     net, marking, fmt = _load_model(path, args.format)
     budget = _budget(args)
-    strategy = _strategy(args)
     required = None
     if args.contains:
         required = frozenset(net.place_index(name.strip())
@@ -106,19 +95,21 @@ def cmd_analyze(args) -> int:
     }
     if required is not None:
         payload["contains"] = sorted(net.places[p] for p in required)
+    siphons = None  # all minimal siphons, before --contains, for the report
     try:
         for target in targets:
             run = enumerate_minimal_siphons if target == "siphons" else enumerate_minimal_traps
-            result = run(net, engine=args.engine, budget=budget, strategy=strategy,
-                         restart=args.restart, trace=emit)
-            if required is not None:
-                result.sets = filter_containing(result.sets, required)
-            payload[target] = _result_dict(net, result)
+            result = run(net, engine=args.engine, budget=budget, trace=emit)
+            if target == "siphons":
+                siphons = result
+            sets = result.sets if required is None else filter_containing(result.sets, required)
+            payload[target] = _result_dict(net, sets, result.stats)
     finally:
         if trace_file is not None:
             trace_file.close()
     if args.marking_report:
-        report = siphon_trap_report(net, marking, engine=args.engine, budget=budget)
+        report = siphon_trap_report(net, marking, engine=args.engine, budget=budget,
+                                    siphons=siphons)
         payload["marking_report"] = report.to_dict()
 
     if args.output == "json":
@@ -307,10 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_MS,
                          metavar="MS", help="budget in milliseconds, 0 for none")
     analyze.add_argument("--max-conflicts", type=int, default=None)
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--strategy", choices=["fixed", "random", "frequency"])
-    analyze.add_argument("--restart", action="store_true",
-                         help="bb only: restart from the root after each solution")
     analyze.add_argument("--trace", metavar="FILE", help="bb only: write a search trace")
     analyze.add_argument("--output", choices=["text", "json", "csv"], default="text")
     analyze.set_defaults(func=cmd_analyze)

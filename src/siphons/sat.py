@@ -1,13 +1,14 @@
 """Iterated SAT enumeration of minimal siphons.
 
-The solver is a small CDCL: two watched literals per clause, first-UIP
-conflict learning with backjumping, no restarts, no clause deletion.
-Branching is fixed: the lowest-index unassigned variable, False before
-True, so discovered models are biased small. Learned clauses are stored
-with the asserting literal first and the rest by decreasing decision
-level, so when a watch moves, the replacement is usually found at once
-rather than behind a run of literals false since an early level (each
-assumption is a level of its own).
+The solver is a small CDCL on the shared watched-literal `Propagator`
+(`search.py`, also under branch-and-bound): first-UIP conflict learning
+with backjumping; a solve never starts over and never deletes a clause.
+Branching is the shared fixed rule: the lowest-index unassigned
+variable, False before True, so discovered models are biased small.
+Learned clauses are stored with the asserting literal first and the rest
+by decreasing decision level, so when a watch moves, the replacement is
+usually found at once rather than behind a run of literals false since an
+early level (each assumption is a level of its own).
 
 Enumeration solves, shrinks the model to an inclusion-minimal one by
 re-solving under assumptions, posts a clause that excludes the found set
@@ -19,7 +20,7 @@ from enum import Enum
 
 from .encoding import Assignment, CnfFormula, VarMap, blocking_clause, encode_siphon, evaluate
 from .net import PetriNet
-from .search import Budget, BudgetClock, EnumerationResult, SearchStats
+from .search import Budget, BudgetClock, EnumerationResult, Propagator, SearchStats, accept
 
 
 class SolveStatus(Enum):
@@ -28,34 +29,24 @@ class SolveStatus(Enum):
     UNKNOWN = "unknown"
 
 
-class SatSolver:
-    """Incremental CDCL solver over a CnfFormula; clauses may be added between calls."""
+class SatSolver(Propagator):
+    """Incremental CDCL solver over a CnfFormula; clauses may be added between calls.
+
+    The clause store, propagation and branching cursor are the shared
+    `Propagator`; this class adds decision levels, reasons, learning,
+    assumptions and `solve`.
+    """
 
     def __init__(self, formula: CnfFormula):
-        self.num_vars = formula.num_vars
-        n = self.num_vars
-        self.assign = [0] * (n + 1)          # 0 unassigned, 1 true, -1 false
+        n = formula.num_vars
+        # Set before the base constructor, whose root unit clauses enqueue.
         self.level = [0] * (n + 1)
         self.reason: list[int | None] = [None] * (n + 1)
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.clauses: list[list[int]] = []   # positions 0 and 1 are watched
-        self.watches: dict[int, list[int]] = {}
-        for v in range(1, n + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
-        self._next_var = 1                   # every variable below it is assigned
         self._seen = [False] * (n + 1)
-        self._unsat = False
         self.model: Assignment | None = None
         self.conflicts = 0
         self.decisions = 0
-        self.propagations = 0
-        for clause in formula.clauses:
-            self.add_clause(clause)
-
-    # -- assignment bookkeeping -------------------------------------------
+        super().__init__(formula)
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
         v = lit if lit > 0 else -lit
@@ -64,111 +55,10 @@ class SatSolver:
         self.reason[v] = reason
         self.trail.append(lit)
 
-    def _lit_value(self, lit: int):
-        a = self.assign[lit if lit > 0 else -lit]
-        if a == 0:
-            return None
-        return (a > 0) == (lit > 0)
-
-    def _cancel_until(self, target: int) -> None:
-        if len(self.trail_lim) <= target:
-            return
-        head = self.trail_lim[target]
-        lowest = self._next_var
-        for lit in self.trail[head:]:
-            v = lit if lit > 0 else -lit
-            self.assign[v] = 0
-            self.reason[v] = None
-            if v < lowest:
-                lowest = v
-        self._next_var = lowest
-        del self.trail[head:]
-        del self.trail_lim[target:]
-        self.qhead = len(self.trail)
-
-    # -- clause management ---------------------------------------------------
-
-    def add_clause(self, literals) -> None:
+    def add_clause(self, literals) -> bool:
         """Add a clause at the root level (any search state is unwound first)."""
         self._cancel_until(0)
-        if self._unsat:
-            return
-        out, seen = [], set()
-        for lit in literals:
-            if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"bad literal {lit!r}")
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        live = []
-        for lit in out:
-            value = self._lit_value(lit)
-            if value is True:
-                return  # satisfied at root
-            if value is None:
-                live.append(lit)
-        if not live:
-            self._unsat = True
-        elif len(live) == 1:
-            self._enqueue(live[0], None)
-            if self._propagate() is not None:
-                self._unsat = True
-        else:
-            ci = len(self.clauses)
-            self.clauses.append(live)
-            self.watches[live[0]].append(ci)
-            self.watches[live[1]].append(ci)
-
-    # -- unit propagation ---------------------------------------------------
-
-    def _propagate(self) -> int | None:
-        """Propagate to fixpoint; returns a falsified clause index or None."""
-        assign = self.assign
-        clauses = self.clauses
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -p
-            watchers = self.watches[false_lit]
-            i = j = 0
-            n_watch = len(watchers)
-            while i < n_watch:
-                ci = watchers[i]
-                i += 1
-                clause = clauses[ci]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                a = assign[first if first > 0 else -first]
-                if a != 0 and (a > 0) == (first > 0):
-                    watchers[j] = ci
-                    j += 1
-                    continue
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    a2 = assign[other if other > 0 else -other]
-                    if a2 == 0 or (a2 > 0) == (other > 0):
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[other].append(ci)
-                        break
-                else:
-                    watchers[j] = ci
-                    j += 1
-                    if a == 0:
-                        self.propagations += 1
-                        self._enqueue(first, ci)
-                    else:
-                        while i < n_watch:
-                            watchers[j] = watchers[i]
-                            j += 1
-                            i += 1
-                        del watchers[j:]
-                        self.qhead = len(self.trail)
-                        return ci
-            del watchers[j:]
-        return None
+        return self._add_root_clause(literals)
 
     # -- conflict analysis ----------------------------------------------------
 
@@ -216,22 +106,13 @@ class SatSolver:
         first = learned[0]
         return [-p] + learned, level[first if first > 0 else -first]
 
-    def _pick_branch(self) -> int:
-        """The lowest-index unassigned variable; one must exist."""
-        assign = self.assign
-        v = self._next_var
-        while assign[v] != 0:
-            v += 1
-        self._next_var = v
-        return v
-
     # -- main search ----------------------------------------------------------
 
     def solve(self, assumptions=(), budget: Budget | None = None) -> SolveStatus:
         """SAT with self.model set, UNSAT (under the assumptions), or UNKNOWN on budget."""
         self._cancel_until(0)
         self.model = None
-        if self._unsat:
+        if self.conflicting:
             return SolveStatus.UNSAT
         assumptions = tuple(assumptions)
         for lit in assumptions:
@@ -244,7 +125,7 @@ class SatSolver:
         conflicts_here = 0
 
         if self._propagate() is not None:
-            self._unsat = True
+            self.conflicting = True
             return SolveStatus.UNSAT
         while True:
             confl = self._propagate()
@@ -252,18 +133,14 @@ class SatSolver:
                 self.conflicts += 1
                 conflicts_here += 1
                 if not self.trail_lim:
-                    self._unsat = True
+                    self.conflicting = True
                     return SolveStatus.UNSAT
                 learned, back = self._analyze(confl)
                 self._cancel_until(back)
                 if len(learned) == 1:
                     self._enqueue(learned[0], None)
                 else:
-                    ci = len(self.clauses)
-                    self.clauses.append(learned)
-                    self.watches[learned[0]].append(ci)
-                    self.watches[learned[1]].append(ci)
-                    self._enqueue(learned[0], ci)
+                    self._enqueue(learned[0], self._attach(learned))
                 if budget.max_conflicts is not None and conflicts_here >= budget.max_conflicts:
                     self._cancel_until(0)
                     return SolveStatus.UNKNOWN
@@ -275,12 +152,12 @@ class SatSolver:
             advanced = False
             while len(self.trail_lim) < len(assumptions):
                 lit = assumptions[len(self.trail_lim)]
-                value = self._lit_value(lit)
-                if value is False:
+                a = self.assign[lit if lit > 0 else -lit]
+                if a != 0 and (a > 0) != (lit > 0):
                     self._cancel_until(0)
                     return SolveStatus.UNSAT
                 self.trail_lim.append(len(self.trail))
-                if value is None:
+                if a == 0:
                     self._enqueue(lit, None)
                     advanced = True
                     break
@@ -371,11 +248,7 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
             current = varmap.true_places(solver.model)
         if minimal is None:
             break
-        if not net.is_siphon(minimal):
-            raise RuntimeError("enumerated set fails the siphon predicate")
-        if any(prev <= minimal or minimal <= prev for prev in result.sets):
-            raise RuntimeError("enumerated sets are not an antichain")
-        result.sets.append(minimal)
+        accept(net, result, minimal)
 
     stats.conflicts = solver.conflicts
     stats.decisions = solver.decisions

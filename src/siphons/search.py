@@ -1,7 +1,16 @@
-"""Shared plumbing for the two enumeration engines: budgets, stats, results."""
+"""Shared core of the two enumeration engines.
+
+`Propagator` is the one watched-literal clause store and unit propagation
+loop: branch-and-bound drives it through `decide`/`backtrack`, and the SAT
+solver subclasses it with decision levels, reasons and conflict learning.
+Also here: budgets, stats, results, and the per-set acceptance step.
+"""
 
 import time
 from dataclasses import dataclass, field
+
+from .encoding import CnfFormula
+from .net import PetriNet
 
 
 @dataclass(frozen=True)
@@ -79,3 +88,213 @@ class EnumerationResult:
 
     def __len__(self) -> int:
         return len(self.sets)
+
+
+def accept(net: PetriNet, result: EnumerationResult, s: frozenset[int]) -> None:
+    """Certify an emitted set as a siphon incomparable with every earlier
+    one, then append it to the result."""
+    if not net.is_siphon(s):
+        raise RuntimeError("enumerated set fails the siphon predicate")
+    if any(prev <= s or s <= prev for prev in result.sets):
+        raise RuntimeError("enumerated sets are not an antichain")
+    result.sets.append(s)
+
+
+class Propagator:
+    """Watched-literal clause store with unit propagation over a decision trail.
+
+    Branching takes the lowest-index unassigned variable, found by a cursor
+    below which every variable is assigned.
+    """
+
+    def __init__(self, formula: CnfFormula):
+        self.num_vars = formula.num_vars
+        n = self.num_vars
+        self.assign = [0] * (n + 1)          # 0 unassigned, 1 true, -1 false
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.clauses: list[list[int]] = []   # positions 0 and 1 are watched
+        self.watches: dict[int, list[int]] = {}
+        for v in range(1, n + 1):
+            self.watches[v] = []
+            self.watches[-v] = []
+        self._next_var = 1                   # every variable below it is assigned
+        self.conflicting = False             # a root-level clause is falsified
+        self.propagations = 0
+        for clause in formula.clauses:
+            self._add_root_clause(clause)
+
+    # -- assignment bookkeeping -------------------------------------------
+
+    def value(self, var: int) -> bool | None:
+        if not 1 <= var <= self.num_vars:
+            raise ValueError(f"invalid variable {var!r}")
+        a = self.assign[var]
+        return None if a == 0 else a > 0
+
+    @property
+    def num_assigned(self) -> int:
+        return len(self.trail)
+
+    def all_assigned(self) -> bool:
+        return len(self.trail) == self.num_vars
+
+    def true_vars(self) -> list[int]:
+        return [v for v in range(1, self.num_vars + 1) if self.assign[v] > 0]
+
+    def _enqueue(self, lit: int, reason: int | None) -> None:
+        """Assign lit true; `reason`, the index of the clause that forced it,
+        is kept only by the learning subclass."""
+        self.assign[lit if lit > 0 else -lit] = 1 if lit > 0 else -1
+        self.trail.append(lit)
+
+    def _cancel_until(self, target: int) -> None:
+        """Unassign every decision level above `target`."""
+        if len(self.trail_lim) <= target:
+            return
+        head = self.trail_lim[target]
+        assign = self.assign
+        lowest = self._next_var
+        for lit in self.trail[head:]:
+            v = lit if lit > 0 else -lit
+            assign[v] = 0
+            if v < lowest:
+                lowest = v
+        self._next_var = lowest
+        del self.trail[head:]
+        del self.trail_lim[target:]
+        self.qhead = len(self.trail)
+
+    def _pick_branch(self) -> int:
+        """The lowest-index unassigned variable; one must exist."""
+        assign = self.assign
+        v = self._next_var
+        while assign[v] != 0:
+            v += 1
+        self._next_var = v
+        return v
+
+    # -- clause management ---------------------------------------------------
+
+    def add_clause(self, literals) -> bool:
+        """Post a permanent clause at the root; returns False on root conflict."""
+        if self.trail_lim:
+            raise ValueError("clauses may only be added at the root level")
+        return self._add_root_clause(literals)
+
+    def _add_root_clause(self, literals) -> bool:
+        if self.conflicting:
+            return False
+        num_vars = self.num_vars
+        assign = self.assign
+        out, seen = [], set()
+        for lit in literals:
+            if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"bad literal {lit!r}")
+            if -lit in seen:
+                return True  # tautology
+            if lit not in seen:
+                seen.add(lit)
+                out.append(lit)
+        live = []
+        for lit in out:
+            a = assign[lit if lit > 0 else -lit]
+            if a != 0 and (a > 0) == (lit > 0):
+                return True  # already satisfied at root
+            if a == 0:
+                live.append(lit)
+        if not live:
+            self.conflicting = True
+        elif len(live) == 1:
+            self._enqueue(live[0], None)
+            self.conflicting = self._propagate() is not None
+        else:
+            self._attach(live)
+        return not self.conflicting
+
+    def _attach(self, clause: list[int]) -> int:
+        """Store a clause of two or more literals, watching its first two."""
+        ci = len(self.clauses)
+        self.clauses.append(clause)
+        self.watches[clause[0]].append(ci)
+        self.watches[clause[1]].append(ci)
+        return ci
+
+    # -- unit propagation ---------------------------------------------------
+
+    def _propagate(self) -> int | None:
+        """Propagate to fixpoint; returns a falsified clause index or None."""
+        # Attributes are read into locals once per call: this loop runs on
+        # instances of two classes, so attribute lookups on self miss the
+        # interpreter's per-type caches whenever the engines alternate.
+        assign = self.assign
+        clauses = self.clauses
+        watches = self.watches
+        trail = self.trail
+        enqueue = self._enqueue
+        qhead = self.qhead
+        units = 0
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_lit]
+            i = j = 0
+            n_watch = len(watchers)
+            while i < n_watch:
+                ci = watchers[i]
+                i += 1
+                clause = clauses[ci]
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], clause[0]
+                first = clause[0]
+                a = assign[first if first > 0 else -first]
+                if a != 0 and (a > 0) == (first > 0):
+                    watchers[j] = ci
+                    j += 1
+                    continue
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    a2 = assign[other if other > 0 else -other]
+                    if a2 == 0 or (a2 > 0) == (other > 0):
+                        clause[1], clause[k] = clause[k], clause[1]
+                        watches[other].append(ci)
+                        break
+                else:
+                    watchers[j] = ci
+                    j += 1
+                    if a == 0:
+                        units += 1
+                        enqueue(first, ci)
+                    else:
+                        while i < n_watch:
+                            watchers[j] = watchers[i]
+                            j += 1
+                            i += 1
+                        del watchers[j:]
+                        self.qhead = len(trail)
+                        self.propagations += units
+                        return ci
+            del watchers[j:]
+        self.qhead = qhead
+        self.propagations += units
+        return None
+
+    # -- search interface for branch-and-bound --------------------------------
+
+    def decide(self, var: int, value: bool) -> bool:
+        """Open a decision level, assign, propagate; False on conflict."""
+        if self.value(var) is not None:
+            raise ValueError(f"variable {var} is already assigned")
+        self.trail_lim.append(len(self.trail))
+        self._enqueue(var if value else -var, None)
+        return self._propagate() is None
+
+    def backtrack(self) -> None:
+        """Undo the most recent decision level."""
+        if not self.trail_lim:
+            raise ValueError("already at the root level")
+        self._cancel_until(len(self.trail_lim) - 1)
+
+    def backtrack_all(self) -> None:
+        self._cancel_until(0)

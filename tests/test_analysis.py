@@ -85,6 +85,15 @@ def test_oracle_place_cap():
     assert len(brute_force_minimal_siphons(small, max_places=16)) == 2 ** 8
 
 
+def test_oracle_honours_budget():
+    net = gen_random_net(18, 6, 3, seed=1)
+    full = set(brute_force_minimal_siphons(net))
+    res = enumerate_minimal_siphons(net, engine="oracle", budget=Budget(max_ms=0))
+    assert res.stats.timed_out and not res.complete
+    # a cut scan keeps only sets that are minimal among all subsets
+    assert 0 < len(res.sets) < len(full) and set(res.sets) <= full
+
+
 def test_oracle_minimality(example2):
     got = brute_force_minimal_siphons(example2)
     assert names(example2, got) == [("A", "B")]
@@ -135,6 +144,42 @@ def test_engines_agree_with_oracle_on_random_nets():
         assert set(enumerate_minimal_traps(net, engine="bb").sets) == t_oracle
 
 
+def max_siphon_within(net, s):
+    """The greatest siphon inside s (possibly empty), the dual of
+    max_trap_within, by a worklist fixpoint: a place leaves when one of its
+    producers consumes from no remaining place, tracked by a per-transition
+    count of remaining input places."""
+    alive = set(s)
+    inputs_left = {}
+    for q in alive:
+        for t in net.post_transitions(q):
+            inputs_left[t] = inputs_left.get(t, 0) + 1
+    queue = [q for q in alive if any(inputs_left.get(t, 0) == 0 for t in net.pre_transitions(q))]
+    while queue:
+        q = queue.pop()
+        if q not in alive:
+            continue
+        alive.remove(q)
+        for t in net.post_transitions(q):
+            inputs_left[t] -= 1
+            if inputs_left[t] == 0:
+                queue.extend(r for r in net.post_places(t) if r in alive)
+    return frozenset(alive)
+
+
+def test_max_siphon_within_is_greatest():
+    for seed in range(30):
+        net = random_net_corpus(1, base_seed=seed, max_places=7)[0]
+        n = len(net.places)
+        s = frozenset(range(0, n, 2))
+        best = max_siphon_within(net, s)
+        assert not best or net.is_siphon(best)
+        for mask in range(1, 1 << n):
+            sub = frozenset(i for i in range(n) if mask >> i & 1)
+            if sub <= s and net.is_siphon(sub):
+                assert sub <= best
+
+
 def test_engines_agree_past_oracle_cap():
     # nets of 13-49 places, too large for the brute-force oracle
     rng = random.Random(7)
@@ -148,6 +193,8 @@ def test_engines_agree_past_oracle_cap():
         assert sat.complete and bb.complete
         assert set(sat.sets) == set(bb.sets)
         assert all(net.is_siphon(s) for s in sat.sets)
+        # minimal: no siphon at all survives inside s with any one place removed
+        assert all(not max_siphon_within(net, s - {p}) for s in sat.sets for p in s)
 
 
 def test_budget_passes_through(enzyme):

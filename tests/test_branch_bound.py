@@ -1,6 +1,4 @@
-import pytest
-
-from siphons import (Budget, CnfFormula, Propagator, Strategy, encode_siphon,
+from siphons import (Budget, CnfFormula, Propagator, encode_siphon,
                      enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check,
                      gen_chain)
 
@@ -97,23 +95,6 @@ def test_bb_first_solution_is_minimal():
         assert first_solution_is_minimal_check(net)
 
 
-def test_bb_strategies_agree():
-    for seed in range(20):
-        net = random_net_corpus(1, base_seed=seed)[0]
-        fixed = set(enumerate_minimal_bb(net).sets)
-        rand = set(enumerate_minimal_bb(net, strategy=Strategy.random(seed=7)).sets)
-        freq = set(enumerate_minimal_bb(net, strategy=Strategy.frequency()).sets)
-        assert fixed == rand == freq
-
-
-def test_bb_restart_variant_agrees():
-    for seed in range(20):
-        net = random_net_corpus(1, base_seed=seed)[0]
-        plain = set(enumerate_minimal_bb(net).sets)
-        restart = set(enumerate_minimal_bb(net, restart=True).sets)
-        assert plain == restart
-
-
 def test_bb_matches_sat_engine():
     for n in range(1, 7):
         net = gen_chain(n)
@@ -151,8 +132,3 @@ def test_bb_budget_partial_results_are_siphons():
         assert len(res.sets) < 512
     for s in res.sets:
         assert net.is_siphon(s)
-
-
-def test_strategy_validation():
-    with pytest.raises(ValueError):
-        Strategy("nope")

@@ -5,7 +5,8 @@ import contextlib
 
 import pytest
 
-from siphons import parse_pnml, parse_reactions, siphon_trap_report
+from siphons import (enumerate_minimal_siphons, parse_pnml, parse_reactions,
+                     siphon_trap_report)
 from siphons.cli import main
 
 
@@ -75,16 +76,36 @@ def test_analyze_marking_report(models_dir):
 
 def test_analyze_marking_report_built_once(models_dir, monkeypatch):
     calls = []
+    enumerations = []
 
     def counting_report(*args, **kwargs):
         calls.append(args)
         return siphon_trap_report(*args, **kwargs)
 
+    def counting_enumerate(*args, **kwargs):
+        enumerations.append(args)
+        return enumerate_minimal_siphons(*args, **kwargs)
+
     monkeypatch.setattr("siphons.cli.siphon_trap_report", counting_report)
+    # the report's own enumeration would go through the analysis module
+    monkeypatch.setattr("siphons.cli.enumerate_minimal_siphons", counting_enumerate)
+    monkeypatch.setattr("siphons.analysis.enumerate_minimal_siphons", counting_enumerate)
     code, out, _ = run(["analyze", str(models_dir / "enzyme.rxn"), "--marking-report"])
     assert code == 0
     assert "every minimal siphon contains a marked trap: no" in out
     assert len(calls) == 1
+    assert len(enumerations) == 1
+
+
+@pytest.mark.parametrize("extra", [["--contains", "A"], ["--target", "traps"],
+                                   ["--target", "both", "--contains", "E"]])
+def test_analyze_marking_report_independent_of_target(models_dir, extra):
+    # the report covers all minimal siphons whatever --target and --contains select
+    path = models_dir / "enzyme.rxn"
+    code, out, _ = run(["analyze", str(path), "--marking-report", "--output", "json"] + extra)
+    assert code == 0
+    net, marking = parse_reactions(path.read_text())
+    assert json.loads(out)["marking_report"] == siphon_trap_report(net, marking).to_dict()
 
 
 def test_analyze_marking_report_json(models_dir):
