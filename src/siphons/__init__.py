@@ -22,7 +22,7 @@ from .net import (Marking, NotEnabledError, PetriNet, PlaceSet, format_place_set
                   isomorphic)
 from .pnml import export_pnml, parse_pnml
 from .reactions import ParseError, export_reactions, parse_reactions
-from .sat import SatSolver, SolveStatus, enumerate_minimal_sat, minimize_model
+from .sat import SatSolver, SolveStatus, enumerate_minimal_sat
 from .search import Budget, EnumerationResult, SearchStats
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "evaluate", "export_dimacs", "export_pnml", "export_reactions", "filter_containing",
     "first_solution_is_minimal_check", "format_place_set", "gen_3sat_reduction",
     "isomorphic",
-    "gen_chain", "gen_random_3sat", "gen_random_net", "max_trap_within", "minimize_model",
+    "gen_chain", "gen_random_3sat", "gen_random_net", "max_trap_within",
     "parse_dimacs", "parse_pnml", "parse_reactions", "random_walk", "siphon_trap_report",
     "unmarked_places", "walk_trace",
 ]

@@ -5,10 +5,15 @@ The solver is a small CDCL on the shared watched-literal `Propagator`
 with backjumping; a solve never starts over and never deletes a clause.
 Branching is the shared fixed rule: the lowest-index unassigned
 variable, False before True, so discovered models are biased small.
-Learned clauses are stored with the asserting literal first and the rest
-by decreasing decision level, so when a watch moves, the replacement is
-usually found at once rather than behind a run of literals false since an
-early level (each assumption is a level of its own).
+Each learned clause is minimized (a literal goes when every other literal
+of its reason clause is in the clause or fixed at level 0) and stored with
+the asserting literal first and the rest by decreasing decision level, so
+when a watch moves, the replacement is usually found at once rather than
+behind a run of literals false since an early level (each assumption is a
+level of its own). Input clauses are stored highest variable first, so the
+non-emptiness clause watches the variables that the 0-first descent and
+the minimize assumptions reach last instead of chasing the assignment
+frontier; blocking clauses keep the order they are given in.
 
 Enumeration solves, shrinks the model to an inclusion-minimal one by
 re-solving under assumptions, posts a clause that excludes the found set
@@ -18,7 +23,7 @@ and all its supersets, and repeats until UNSAT or the budget runs out.
 import time
 from enum import Enum
 
-from .encoding import Assignment, CnfFormula, VarMap, blocking_clause, encode_siphon, evaluate
+from .encoding import Assignment, CnfFormula, blocking_clause, encode_siphon
 from .net import PetriNet
 from .search import Budget, BudgetClock, EnumerationResult, Propagator, SearchStats, accept
 
@@ -46,7 +51,10 @@ class SatSolver(Propagator):
         self.model: Assignment | None = None
         self.conflicts = 0
         self.decisions = 0
-        super().__init__(formula)
+        super().__init__(CnfFormula(n))
+        # Input clauses go in highest variable first (see the module docstring).
+        for clause in formula.clauses:
+            self._add_root_clause(sorted(clause, key=abs, reverse=True))
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
         v = lit if lit > 0 else -lit
@@ -63,7 +71,7 @@ class SatSolver(Propagator):
     # -- conflict analysis ----------------------------------------------------
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
-        """First-UIP learned clause and the level to jump back to.
+        """Minimized first-UIP learned clause and the level to jump back to.
 
         The clause is the asserting literal followed by the other literals
         in decreasing level order, so index 1 holds a literal of the
@@ -98,6 +106,22 @@ class SatSolver(Propagator):
             if counter == 0:
                 break
             clause = self.clauses[self.reason[p if p > 0 else -p]]
+        # Local minimization: a literal goes if every other literal of its
+        # reason clause is in the learned clause or fixed at level 0.
+        reason = self.reason
+        clauses = self.clauses
+        kept = []
+        for q in learned:
+            r = reason[q if q > 0 else -q]
+            if r is not None:
+                for x in clauses[r]:
+                    vx = x if x > 0 else -x
+                    if x != -q and not seen[vx] and level[vx] > 0:
+                        break
+                else:
+                    continue
+            kept.append(q)
+        learned = kept
         for v in touched:
             seen[v] = False
         if not learned:
@@ -170,26 +194,6 @@ class SatSolver(Propagator):
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(-var, None)
-
-
-def minimize_model(formula: CnfFormula, model: Assignment) -> Assignment:
-    """Shrink a satisfying assignment to one whose true-set is inclusion-minimal.
-
-    Repeatedly requires a strict subset of the current true-set (everything
-    outside it assumed false, at least one inside it false) until UNSAT.
-    """
-    if not evaluate(formula, model):
-        raise ValueError("assignment does not satisfy the formula")
-    solver = SatSolver(formula)
-    current = tuple(model)
-    while True:
-        trues = [v for v in range(1, formula.num_vars + 1) if current[v - 1]]
-        solver.add_clause([-v for v in trues])
-        status = solver.solve(assumptions=[-v for v in range(1, formula.num_vars + 1)
-                                           if not current[v - 1]])
-        if status is SolveStatus.UNSAT:
-            return current
-        current = solver.model
 
 
 def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> EnumerationResult:

@@ -1,11 +1,10 @@
 import random
 from itertools import product
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, encode_siphon,
-                     enumerate_minimal_sat, evaluate, gen_chain, minimize_model)
+                     enumerate_minimal_sat, evaluate, gen_chain)
 
 from conftest import enzyme_net, example2_net, random_net_corpus
 
@@ -15,6 +14,18 @@ def brute_force_status(formula, assumptions=()):
         if evaluate(formula, bits) and all(bits[abs(a) - 1] == (a > 0) for a in assumptions):
             return SolveStatus.SAT
     return SolveStatus.UNSAT
+
+
+def models_of(formula):
+    return [bits for bits in product((False, True), repeat=formula.num_vars)
+            if evaluate(formula, bits)]
+
+
+def assert_clauses_implied(solver, models):
+    # every stored clause, learned ones included, holds in every model
+    for bits in models:
+        assert all(any(bits[abs(lit) - 1] == (lit > 0) for lit in clause)
+                   for clause in solver.clauses)
 
 
 def random_formula(rng, num_vars, num_clauses):
@@ -130,6 +141,7 @@ def test_assumptions_match_brute_force_across_rounds():
                            for v in rng.choices(range(1, num_vars + 1), k=rng.randint(0, num_vars))]
             got = s.solve(assumptions=assumptions)
             assert got == brute_force_status(f, assumptions)
+            assert_clauses_implied(s, models_of(f))
             if got == SolveStatus.SAT:
                 assert evaluate(f, s.model)
                 assert all(s.model[abs(a) - 1] == (a > 0) for a in assumptions)
@@ -141,29 +153,27 @@ def test_assumptions_match_brute_force_across_rounds():
     assert conflicts > 0
 
 
-def test_minimize_model(enzyme):
-    formula, varmap = encode_siphon(enzyme)
-    # a non-minimal model shrinks to a minimal one inside it
-    full = (True, True, True, True)
-    small = minimize_model(formula, full)
-    kept = {enzyme.places[p] for p in varmap.true_places(small)}
-    assert kept in ({"A", "AE"}, {"E", "AE"})
-    # minimal models are fixed points
-    assert minimize_model(formula, small) == small
-    with pytest.raises(ValueError):
-        minimize_model(formula, (False, False, False, False))
-
-
-def test_minimize_is_subset():
-    rng = random.Random(2)
-    for _ in range(60):
-        f = random_formula(rng, 6, rng.randint(1, 12))
+def test_learned_clauses_are_implied_on_dense_formulas():
+    # 3-CNF above the satisfiability threshold, solved under assumptions,
+    # conflicts over several decision levels, so learned-clause minimization
+    # has reason clauses to drop literals through
+    rng = random.Random(1)
+    conflicts = 0
+    for _ in range(300):
+        f = CnfFormula(8)
+        for _ in range(34):
+            vs = rng.sample(range(1, 9), 3)
+            f.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+        models = models_of(f)
         s = SatSolver(f)
-        if s.solve() != SolveStatus.SAT:
-            continue
-        small = minimize_model(f, s.model)
-        assert evaluate(f, small)
-        assert {i for i, b in enumerate(small) if b} <= {i for i, b in enumerate(s.model) if b}
+        for _ in range(5):
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, 9), rng.randint(0, 4))]
+            sat = any(all(bits[abs(a) - 1] == (a > 0) for a in assumptions) for bits in models)
+            assert s.solve(assumptions=assumptions) == (SolveStatus.SAT if sat else SolveStatus.UNSAT)
+            assert_clauses_implied(s, models)
+        conflicts += s.conflicts
+    assert conflicts > 1000
 
 
 def test_enumerate_enzyme(enzyme):
