@@ -39,15 +39,16 @@ class SatSolver(Propagator):
 
     The clause store, propagation and branching cursor are the shared
     `Propagator`; this class adds decision levels, reasons, learning,
-    assumptions and `solve`.
+    assumptions and `solve`. Like `assign`, the level, reason and
+    conflict-analysis mark of a variable are indexed by its true literal.
     """
 
     def __init__(self, formula: CnfFormula):
         n = formula.num_vars
         # Set before the base constructor, whose root unit clauses enqueue.
-        self.level = [0] * (n + 1)
-        self.reason: list[int | None] = [None] * (n + 1)
-        self._seen = [False] * (n + 1)
+        self.level = [0] * (2 * n + 1)
+        self.reason: list[int | None] = [None] * (2 * n + 1)
+        self._seen = [False] * (2 * n + 1)
         self.model: Assignment | None = None
         self.conflicts = 0
         self.decisions = 0
@@ -57,10 +58,10 @@ class SatSolver(Propagator):
             self._add_root_clause(sorted(clause, key=abs, reverse=True))
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
-        v = lit if lit > 0 else -lit
-        self.assign[v] = 1 if lit > 0 else -1
-        self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason
+        self.assign[lit] = 1
+        self.assign[-lit] = -1
+        self.level[lit] = self.decision_level
+        self.reason[lit] = reason
         self.trail.append(lit)
 
     def add_clause(self, literals) -> bool:
@@ -77,58 +78,58 @@ class SatSolver(Propagator):
         in decreasing level order, so index 1 holds a literal of the
         backjump level, as the watch invariant needs.
         """
+        # Every literal q met in a conflict or reason clause other than the
+        # implied one is false, so its variable's entries sit at index -q.
         seen = self._seen
         level = self.level
-        cur_level = len(self.trail_lim)
+        reason = self.reason
+        clauses = self.clauses
+        trail = self.trail
+        cur_level = self.decision_level
         learned: list[int] = []
         touched: list[int] = []
         counter = 0
         p = 0
-        idx = len(self.trail) - 1
-        clause = self.clauses[confl]
+        idx = len(trail) - 1
+        clause = clauses[confl]
         while True:
             for q in clause:
                 if q == p:
                     continue
-                v = q if q > 0 else -q
-                if not seen[v] and level[v] > 0:
-                    seen[v] = True
-                    touched.append(v)
-                    if level[v] >= cur_level:
+                if not seen[-q] and level[-q] > 0:
+                    seen[-q] = True
+                    touched.append(-q)
+                    if level[-q] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[self.trail[idx] if self.trail[idx] > 0 else -self.trail[idx]]:
+            while not seen[trail[idx]]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            clause = self.clauses[self.reason[p if p > 0 else -p]]
+            clause = clauses[reason[p]]
         # Local minimization: a literal goes if every other literal of its
         # reason clause is in the learned clause or fixed at level 0.
-        reason = self.reason
-        clauses = self.clauses
         kept = []
         for q in learned:
-            r = reason[q if q > 0 else -q]
+            r = reason[-q]
             if r is not None:
                 for x in clauses[r]:
-                    vx = x if x > 0 else -x
-                    if x != -q and not seen[vx] and level[vx] > 0:
+                    if x != -q and not seen[-x] and level[-x] > 0:
                         break
                 else:
                     continue
             kept.append(q)
         learned = kept
-        for v in touched:
-            seen[v] = False
+        for t in touched:
+            seen[t] = False
         if not learned:
             return [-p], 0
-        learned.sort(key=lambda q: level[q if q > 0 else -q], reverse=True)
-        first = learned[0]
-        return [-p] + learned, level[first if first > 0 else -first]
+        learned.sort(key=lambda q: level[-q], reverse=True)
+        return [-p] + learned, level[-learned[0]]
 
     # -- main search ----------------------------------------------------------
 
@@ -147,6 +148,7 @@ class SatSolver(Propagator):
         if budget.max_ms is not None:
             deadline = time.perf_counter() + budget.max_ms / 1000.0
         conflicts_here = 0
+        n_assumptions = len(assumptions)
 
         if self._propagate() is not None:
             self.conflicting = True
@@ -156,7 +158,7 @@ class SatSolver(Propagator):
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if not self.trail_lim:
+                if not self.decision_level:
                     self.conflicting = True
                     return SolveStatus.UNSAT
                 learned, back = self._analyze(confl)
@@ -173,27 +175,26 @@ class SatSolver(Propagator):
                     self._cancel_until(0)
                     return SolveStatus.UNKNOWN
                 continue
-            advanced = False
-            while len(self.trail_lim) < len(assumptions):
-                lit = assumptions[len(self.trail_lim)]
-                a = self.assign[lit if lit > 0 else -lit]
-                if a != 0 and (a > 0) != (lit > 0):
+            while self.decision_level < n_assumptions:
+                lit = assumptions[self.decision_level]
+                a = self.assign[lit]
+                if a == -1:
                     self._cancel_until(0)
                     return SolveStatus.UNSAT
                 self.trail_lim.append(len(self.trail))
+                self.decision_level += 1
                 if a == 0:
                     self._enqueue(lit, None)
-                    advanced = True
                     break
-            if advanced:
-                continue
-            if len(self.trail) == self.num_vars:
-                self.model = tuple(self.assign[v] == 1 for v in range(1, self.num_vars + 1))
-                return SolveStatus.SAT
-            var = self._pick_branch()
-            self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(-var, None)
+            else:  # every assumption holds: branch, or stop at a full model
+                if len(self.trail) == self.num_vars:
+                    self.model = tuple(self.assign[v] == 1 for v in range(1, self.num_vars + 1))
+                    return SolveStatus.SAT
+                var = self._pick_branch()
+                self.decisions += 1
+                self.trail_lim.append(len(self.trail))
+                self.decision_level += 1
+                self._enqueue(-var, None)
 
 
 def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> EnumerationResult:

@@ -3,7 +3,9 @@
 `Propagator` is the one watched-literal clause store and unit propagation
 loop: branch-and-bound drives it through `decide`/`backtrack`, and the SAT
 solver subclasses it with decision levels, reasons and conflict learning.
-Also here: budgets, stats, results, and the per-set acceptance step.
+Truth values are indexed by literal, as in MiniSat, so reading one takes no
+sign arithmetic. Also here: budgets, stats, results, and the per-set
+acceptance step.
 """
 
 import time
@@ -81,6 +83,13 @@ class EnumerationResult:
 
     sets: list[frozenset[int]] = field(default_factory=list)
     stats: SearchStats = field(default_factory=SearchStats)
+    # `sets` grouped by size, for `accept`.
+    _by_size: dict[int, set[frozenset[int]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_size = {}
+        for s in self.sets:
+            self._by_size.setdefault(len(s), set()).add(s)
 
     @property
     def complete(self) -> bool:
@@ -92,17 +101,32 @@ class EnumerationResult:
 
 def accept(net: PetriNet, result: EnumerationResult, s: frozenset[int]) -> None:
     """Certify an emitted set as a siphon incomparable with every earlier
-    one, then append it to the result."""
+    one, then append it to the result. Distinct sets of one size are never
+    comparable, so the set is looked up among those of its own size and
+    subset-tested only against the other sizes."""
     if not net.is_siphon(s):
         raise RuntimeError("enumerated set fails the siphon predicate")
-    if any(prev <= s or s <= prev for prev in result.sets):
-        raise RuntimeError("enumerated sets are not an antichain")
+    size = len(s)
+    for k, group in result._by_size.items():
+        if k == size:
+            clash = s in group
+        elif k < size:
+            clash = any(prev <= s for prev in group)
+        else:
+            clash = any(s <= prev for prev in group)
+        if clash:
+            raise RuntimeError("enumerated sets are not an antichain")
+    result._by_size.setdefault(size, set()).add(s)
     result.sets.append(s)
 
 
 class Propagator:
     """Watched-literal clause store with unit propagation over a decision trail.
 
+    `assign` has 2n+1 entries indexed by literal, as in MiniSat:
+    `assign[lit]` is 1 if lit is true, -1 if false, 0 if unassigned. A
+    negative literal wraps into the top half, so an out-of-range one does
+    not raise: every public entry checks its variables first.
     Branching takes the lowest-index unassigned variable, found by a cursor
     below which every variable is assigned.
     """
@@ -110,11 +134,13 @@ class Propagator:
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
         n = self.num_vars
-        self.assign = [0] * (n + 1)          # 0 unassigned, 1 true, -1 false
+        self.assign = [0] * (2 * n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self.decision_level = 0              # len(self.trail_lim)
         self.qhead = 0
         self.clauses: list[list[int]] = []   # positions 0 and 1 are watched
+        self.spans: list[range] = []         # range(2, len(clause)) per clause
         self.watches: dict[int, list[int]] = {}
         for v in range(1, n + 1):
             self.watches[v] = []
@@ -146,24 +172,27 @@ class Propagator:
     def _enqueue(self, lit: int, reason: int | None) -> None:
         """Assign lit true; `reason`, the index of the clause that forced it,
         is kept only by the learning subclass."""
-        self.assign[lit if lit > 0 else -lit] = 1 if lit > 0 else -1
+        self.assign[lit] = 1
+        self.assign[-lit] = -1
         self.trail.append(lit)
 
     def _cancel_until(self, target: int) -> None:
         """Unassign every decision level above `target`."""
-        if len(self.trail_lim) <= target:
+        if self.decision_level <= target:
             return
         head = self.trail_lim[target]
         assign = self.assign
         lowest = self._next_var
         for lit in self.trail[head:]:
+            assign[lit] = 0
+            assign[-lit] = 0
             v = lit if lit > 0 else -lit
-            assign[v] = 0
             if v < lowest:
                 lowest = v
         self._next_var = lowest
         del self.trail[head:]
         del self.trail_lim[target:]
+        self.decision_level = target
         self.qhead = len(self.trail)
 
     def _pick_branch(self) -> int:
@@ -179,7 +208,7 @@ class Propagator:
 
     def add_clause(self, literals) -> bool:
         """Post a permanent clause at the root; returns False on root conflict."""
-        if self.trail_lim:
+        if self.decision_level:
             raise ValueError("clauses may only be added at the root level")
         return self._add_root_clause(literals)
 
@@ -199,8 +228,8 @@ class Propagator:
                 out.append(lit)
         live = []
         for lit in out:
-            a = assign[lit if lit > 0 else -lit]
-            if a != 0 and (a > 0) == (lit > 0):
+            a = assign[lit]
+            if a == 1:
                 return True  # already satisfied at root
             if a == 0:
                 live.append(lit)
@@ -217,6 +246,7 @@ class Propagator:
         """Store a clause of two or more literals, watching its first two."""
         ci = len(self.clauses)
         self.clauses.append(clause)
+        self.spans.append(range(2, len(clause)))
         self.watches[clause[0]].append(ci)
         self.watches[clause[1]].append(ci)
         return ci
@@ -230,11 +260,12 @@ class Propagator:
         # interpreter's per-type caches whenever the engines alternate.
         assign = self.assign
         clauses = self.clauses
+        spans = self.spans
         watches = self.watches
         trail = self.trail
         enqueue = self._enqueue
         qhead = self.qhead
-        units = 0
+        start = len(trail)
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
@@ -248,15 +279,14 @@ class Propagator:
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                a = assign[first if first > 0 else -first]
-                if a != 0 and (a > 0) == (first > 0):
+                a = assign[first]
+                if a == 1:
                     watchers[j] = ci
                     j += 1
                     continue
-                for k in range(2, len(clause)):
+                for k in spans[ci]:
                     other = clause[k]
-                    a2 = assign[other if other > 0 else -other]
-                    if a2 == 0 or (a2 > 0) == (other > 0):
+                    if assign[other] != -1:
                         clause[1], clause[k] = clause[k], clause[1]
                         watches[other].append(ci)
                         break
@@ -264,20 +294,15 @@ class Propagator:
                     watchers[j] = ci
                     j += 1
                     if a == 0:
-                        units += 1
                         enqueue(first, ci)
                     else:
-                        while i < n_watch:
-                            watchers[j] = watchers[i]
-                            j += 1
-                            i += 1
-                        del watchers[j:]
+                        del watchers[j:i]
                         self.qhead = len(trail)
-                        self.propagations += units
+                        self.propagations += len(trail) - start
                         return ci
             del watchers[j:]
         self.qhead = qhead
-        self.propagations += units
+        self.propagations += qhead - start
         return None
 
     # -- search interface for branch-and-bound --------------------------------
@@ -287,14 +312,15 @@ class Propagator:
         if self.value(var) is not None:
             raise ValueError(f"variable {var} is already assigned")
         self.trail_lim.append(len(self.trail))
+        self.decision_level += 1
         self._enqueue(var if value else -var, None)
         return self._propagate() is None
 
     def backtrack(self) -> None:
         """Undo the most recent decision level."""
-        if not self.trail_lim:
+        if not self.decision_level:
             raise ValueError("already at the root level")
-        self._cancel_until(len(self.trail_lim) - 1)
+        self._cancel_until(self.decision_level - 1)
 
     def backtrack_all(self) -> None:
         self._cancel_until(0)

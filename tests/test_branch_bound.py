@@ -1,6 +1,11 @@
-from siphons import (Budget, CnfFormula, Propagator, encode_siphon,
-                     enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check,
-                     gen_chain)
+import random
+from itertools import product
+
+import pytest
+
+from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus, encode_siphon,
+                     enumerate_minimal_bb, enumerate_minimal_sat, evaluate,
+                     first_solution_is_minimal_check, gen_chain)
 
 from conftest import enzyme_net, example2_net, random_net_corpus
 
@@ -56,6 +61,149 @@ def test_propagator_root_conflict():
     assert prop.add_clause([1])
     assert not prop.add_clause([-1])
     assert prop.conflicting
+
+
+def unit_closure(clauses, literals):
+    """Naive unit propagation: the closed set of true literals, or None on conflict."""
+    true = set(literals)
+    if any(-lit in true for lit in true):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            open_lits = [lit for lit in clause if -lit not in true]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                true.add(open_lits[0])
+                changed = True
+    return true
+
+
+def random_cnf(rng, num_vars):
+    clauses = []
+    for _ in range(rng.randint(1, 3 * num_vars)):
+        vs = rng.sample(range(1, num_vars + 1), rng.randint(1, min(4, num_vars)))
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return clauses
+
+
+def assert_matches_closure(prop, clauses, decisions):
+    closure = unit_closure(clauses, decisions)
+    if closure is None:
+        assert prop.conflicting  # callers check a conflict below the root themselves
+        return
+    assert not prop.conflicting
+    assert set(prop.trail) == closure and len(prop.trail) == len(closure)
+    for v in range(1, prop.num_vars + 1):
+        assert prop.value(v) == (True if v in closure else False if -v in closure else None)
+
+
+@pytest.mark.parametrize("engine", [Propagator, SatSolver])
+def test_kernel_matches_naive_unit_closure(engine):
+    # random decide/backtrack/add_clause walks; after every step the trail is
+    # the unit-propagation closure of the clauses and the open decisions
+    rng = random.Random(7)
+    walks = conflicts = 0
+    for _ in range(150):
+        num_vars = rng.randint(1, 10)
+        clauses = random_cnf(rng, num_vars)
+        f = CnfFormula(num_vars)
+        for clause in clauses:
+            f.add_clause(clause)
+        prop = engine(f)
+        decisions = []
+        assert_matches_closure(prop, clauses, decisions)
+        if prop.conflicting:
+            continue
+        walks += 1
+        ok = True
+        for _ in range(40):
+            free = [v for v in range(1, num_vars + 1) if prop.value(v) is None]
+            if ok and free and rng.random() < 0.6:
+                var = rng.choice(free)
+                lit = var if rng.random() < 0.5 else -var
+                decisions.append(lit)
+                ok = prop.decide(var, lit > 0)
+            elif decisions and rng.random() < 0.8:
+                decisions.pop()
+                prop.backtrack()
+                ok = True
+            else:
+                decisions.clear()
+                prop.backtrack_all()
+                vs = rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
+                clause = [v if rng.random() < 0.5 else -v for v in vs]
+                clauses.append(clause)
+                ok = prop.add_clause(clause)
+                if not ok:
+                    assert unit_closure(clauses, []) is None
+                    break
+            if ok:
+                assert_matches_closure(prop, clauses, decisions)
+            else:
+                conflicts += 1
+                assert unit_closure(clauses, decisions) is None
+            if isinstance(prop, SatSolver):
+                # each variable's level, kept under its true literal
+                for i, lit in enumerate(prop.trail):
+                    assert prop.level[lit] == sum(1 for head in prop.trail_lim if head <= i)
+    assert walks > 80 and conflicts > 20
+
+
+def test_solver_under_assumptions_matches_closure():
+    # a SAT model extends the unit closure of clauses plus assumptions, and a
+    # conflicting closure means UNSAT; brute force decides the rest
+    rng = random.Random(11)
+    for _ in range(150):
+        num_vars = rng.randint(1, 10)
+        clauses = random_cnf(rng, num_vars)
+        f = CnfFormula(num_vars)
+        for clause in clauses:
+            f.add_clause(clause)
+        solver = SatSolver(f)
+        for _ in range(4):
+            vs = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars))
+            assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+            status = solver.solve(assumptions=assumptions)
+            closure = unit_closure(clauses, assumptions)
+            satisfiable = any(
+                evaluate(f, bits) and all(bits[abs(a) - 1] == (a > 0) for a in assumptions)
+                for bits in product((False, True), repeat=num_vars))
+            assert status == (SolveStatus.SAT if satisfiable else SolveStatus.UNSAT)
+            if closure is None:
+                assert status == SolveStatus.UNSAT
+            if status == SolveStatus.SAT:
+                model = {v if solver.model[v - 1] else -v for v in range(1, num_vars + 1)}
+                assert closure <= model
+
+
+@pytest.mark.parametrize("engine", [Propagator, SatSolver])
+def test_kernel_rejects_out_of_range_variables(engine):
+    # negative list indices wrap in the literal-indexed arrays, so every
+    # public entry checks its variables before touching them
+    n = 4
+    f = CnfFormula(n)
+    f.add_clause([1, -2])
+    prop = engine(f)
+    for bad in (0, -1, -n, n + 1, -(n + 1)):
+        with pytest.raises(ValueError):
+            prop.value(bad)
+    for bad in (-1, -n, 0, n + 1):
+        with pytest.raises(ValueError):
+            prop.decide(bad, True)
+    assert prop.num_assigned == 0 and not prop.trail_lim
+    for bad in (n + 1, -(n + 1), 0):
+        with pytest.raises(ValueError):
+            prop.add_clause([1, bad])
+    if isinstance(prop, SatSolver):
+        for bad in (n + 1, -(n + 1), 0):
+            with pytest.raises(ValueError):
+                prop.solve(assumptions=[bad])
+        assert prop.solve() == SolveStatus.SAT
 
 
 def test_bb_enzyme(enzyme):
