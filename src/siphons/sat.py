@@ -4,20 +4,22 @@ The solver is a small CDCL on the shared watched-literal `Propagator`
 (`search.py`, also under branch-and-bound): first-UIP conflict learning
 with backjumping; a solve never starts over and never deletes a clause.
 Branching is the shared fixed rule: the lowest-index unassigned
-variable, False before True, so discovered models are biased small.
+variable, False before True.
 Each learned clause is minimized (a literal goes when every other literal
 of its reason clause is in the clause or fixed at level 0) and stored with
 the asserting literal first and the rest by decreasing decision level, so
 when a watch moves, the replacement is usually found at once rather than
-behind a run of literals false since an early level (each assumption is a
-level of its own). Input clauses are stored highest variable first, so the
-non-emptiness clause watches the variables that the 0-first descent and
-the minimize assumptions reach last instead of chasing the assignment
-frontier; blocking clauses keep the order they are given in.
+behind a run of literals false since an early level. Input clauses are
+stored highest variable first, so the non-emptiness clause watches the
+variables that the 0-first descent reaches last instead of chasing the
+assignment frontier; blocking clauses keep the order they are given in.
 
-Enumeration solves, shrinks the model to an inclusion-minimal one by
-re-solving under assumptions, posts a clause that excludes the found set
-and all its supersets, and repeats until UNSAT or the budget runs out.
+Enumeration solves, posts a clause that excludes the found set and all its
+supersets, and repeats until UNSAT or the budget runs out. With no restarts
+and this branching rule, each solve returns the lexicographically least
+model of the clause store (False below True), which is inclusion-minimal
+among the models left; blocking clauses remove only supersets of sets
+already found, so every model is a new minimal siphon.
 """
 
 import time
@@ -200,9 +202,8 @@ class SatSolver(Propagator):
 def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> EnumerationResult:
     """All minimal siphons by iterated SAT with non-superset blocking clauses.
 
-    Every shrink clause posted during minimization is itself a blocking
-    clause for a (possibly non-minimal) siphon and is subsumed by the final
-    one, so a single incremental solver serves the whole run. On budget
+    Each model is the least one left, so it is a minimal siphon as found
+    (see the module docstring); `accept` still certifies it. On budget
     exhaustion the result is returned as found so far, flagged timed out.
     """
     formula, varmap = encode_siphon(net)
@@ -211,49 +212,25 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
     stats = SearchStats()
     result = EnumerationResult(stats=stats)
 
-    def step_budget() -> Budget | None:
-        left_conf = clock.conflicts_left()
-        left_ms = None
-        if clock.deadline is not None:
-            left_ms = max(0.0, (clock.deadline - time.perf_counter()) * 1000.0)
-        if left_conf is None and left_ms is None:
-            return None
-        return Budget(max_conflicts=left_conf, max_ms=left_ms)
-
-    def run_solve(assumptions=()):
-        before = solver.conflicts
-        status = solver.solve(assumptions=assumptions, budget=step_budget())
-        clock.conflicts += solver.conflicts - before
-        stats.solve_calls += 1
-        return status
-
     while True:
         if clock.exhausted():
             stats.timed_out = True
             break
-        status = run_solve()
+        left_ms = None
+        if clock.deadline is not None:
+            left_ms = max(0.0, (clock.deadline - time.perf_counter()) * 1000.0)
+        before = solver.conflicts
+        status = solver.solve(budget=Budget(max_conflicts=clock.conflicts_left(), max_ms=left_ms))
+        clock.conflicts += solver.conflicts - before
+        stats.solve_calls += 1
         if status is SolveStatus.UNKNOWN:
             stats.timed_out = True
             break
         if status is SolveStatus.UNSAT:
             break
-        current = varmap.true_places(solver.model)
-        minimal = None
-        while True:
-            solver.add_clause(blocking_clause(current, varmap))
-            status = run_solve(assumptions=[-varmap.var(p) for p in range(len(net.places))
-                                            if p not in current])
-            stats.minimize_steps += 1
-            if status is SolveStatus.UNKNOWN:
-                stats.timed_out = True
-                break
-            if status is SolveStatus.UNSAT:
-                minimal = current
-                break
-            current = varmap.true_places(solver.model)
-        if minimal is None:
-            break
-        accept(net, result, minimal)
+        found = varmap.true_places(solver.model)
+        accept(net, result, found)
+        solver.add_clause(blocking_clause(found, varmap))
 
     stats.conflicts = solver.conflicts
     stats.decisions = solver.decisions

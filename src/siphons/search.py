@@ -72,7 +72,7 @@ class SearchStats:
     solve_calls: int = 0
     conflicts: int = 0
     decisions: int = 0
-    minimize_steps: int = 0
+    minimize_steps: int = 0      # neither engine shrinks a set; always 0
     elapsed_ms: float = 0.0
     timed_out: bool = False
 

@@ -4,7 +4,8 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, encode_siphon,
-                     enumerate_minimal_sat, evaluate, gen_chain)
+                     enumerate_minimal_bb, enumerate_minimal_sat, evaluate, gen_3sat_reduction,
+                     gen_chain, gen_random_3sat, gen_random_net)
 
 from conftest import enzyme_net, example2_net, random_net_corpus
 
@@ -230,3 +231,50 @@ def test_enumerate_equals_brute_force_minimal_models(seed):
               if evaluate(formula, bits)]
     minimal = {m for m in models if not any(o < m for o in models)}
     assert set(res.sets) == minimal
+
+
+def least_model_corpus():
+    """Siphon and trap instances of a chain, 3-SAT reductions at n=20 and
+    random nets of 10-30 places, drawn from a fixed seed."""
+    rng = random.Random(11)
+    nets = [gen_chain(8)]
+    nets += [gen_3sat_reduction(gen_random_3sat(20, round(alpha * 20), rng.randrange(2 ** 31)))
+             for alpha in (0.0, 3.0, 4.26, 6.0) for _ in range(2)]
+    for _ in range(30):
+        places = rng.randint(10, 30)
+        nets.append(gen_random_net(places, rng.randint(places // 3, places), rng.randint(2, 4),
+                                   seed=rng.randrange(2 ** 31)))
+    return [n for net in nets for n in (net, net.dual())]
+
+
+def test_sat_finds_the_same_sets_in_the_same_order_as_bb():
+    # Both engines branch on the lowest unassigned variable, False first, so
+    # each set is the least model left; this is what makes every SAT model
+    # minimal without a shrink step. Traps of the reductions with clauses
+    # cost bb about a million conflicts: those hit the budget and are skipped.
+    budget = Budget(max_conflicts=5000)
+    corpus = least_model_corpus()
+    checked = 0
+    for net in corpus:
+        sat = enumerate_minimal_sat(net, budget=budget)
+        bb = enumerate_minimal_bb(net, budget=budget)
+        if sat.stats.timed_out or bb.stats.timed_out:
+            continue
+        assert sat.sets == bb.sets
+        assert sat.stats.minimize_steps == 0
+        assert sat.stats.solve_calls == len(sat.sets) + 1
+        checked += 1
+    assert checked >= 0.9 * len(corpus)
+
+
+def test_conflict_budget_cuts_a_prefix_of_the_full_run():
+    cut = 0
+    for net in least_model_corpus():
+        full = enumerate_minimal_sat(net).sets
+        for k in (1, 5, 20):
+            res = enumerate_minimal_sat(net, budget=Budget(max_conflicts=k))
+            assert res.sets == full[:len(res.sets)]
+            if len(res.sets) < len(full):
+                assert res.stats.timed_out
+                cut += 1
+    assert cut > 0
