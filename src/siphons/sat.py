@@ -12,14 +12,20 @@ when a watch moves, the replacement is usually found at once rather than
 behind a run of literals false since an early level. Input clauses are
 stored highest variable first, so the non-emptiness clause watches the
 variables that the 0-first descent reaches last instead of chasing the
-assignment frontier; blocking clauses keep the order they are given in.
+assignment frontier.
 
 Enumeration solves, posts a clause that excludes the found set and all its
 supersets, and repeats until UNSAT or the budget runs out. With no restarts
 and this branching rule, each solve returns the lexicographically least
 model of the clause store (False below True), which is inclusion-minimal
 among the models left; blocking clauses remove only supersets of sets
-already found, so every model is a new minimal siphon.
+already found, so every model is a new minimal siphon. The model falsifies
+its blocking clause, so the clause goes in like a learned one, by
+decreasing level: the search backjumps to the clause's assertion level
+and the next solve resumes there rather than re-descending from the root,
+as all-solutions CDCL solvers do (Toda and Soh, ACM JEA 2016). The levels
+kept are the ones a descent from the root would rebuild, and the clause is
+not unit below them, so the models and their order do not change.
 """
 
 import time
@@ -67,7 +73,35 @@ class SatSolver(Propagator):
         self.trail.append(lit)
 
     def add_clause(self, literals) -> bool:
-        """Add a clause at the root level (any search state is unwound first)."""
+        """Add a permanent clause; returns False once the store is UNSAT at the root.
+
+        A clause that the current assignment falsifies (a blocking clause
+        against the model just found always is) goes in like a learned
+        clause: its literals fixed at level 0 are dropped, the rest are
+        sorted by decreasing level, and the search backjumps only as far as
+        it must. If the top level is unique, it backjumps to the
+        second-highest level and asserts the top literal; if two literals
+        share the top level, it backjumps to the level below and attaches.
+        A clause with at most one literal above level 0, and any other
+        clause, goes in at the root with the search state unwound first.
+        """
+        literals = list(literals)
+        num_vars = self.num_vars
+        assign = self.assign
+        if self.decision_level and all(isinstance(q, int) and 0 < abs(q) <= num_vars
+                                       and assign[q] == -1 for q in literals):
+            level = self.level
+            clause = sorted((q for q in dict.fromkeys(literals) if level[-q]),
+                            key=lambda q: level[-q], reverse=True)
+            if len(clause) >= 2:
+                top, second = level[-clause[0]], level[-clause[1]]
+                if top != second:
+                    self._cancel_until(second)
+                    self._enqueue(clause[0], self._attach(clause))
+                else:
+                    self._cancel_until(top - 1)
+                    self._attach(clause)
+                return True
         self._cancel_until(0)
         return self._add_root_clause(literals)
 
@@ -136,8 +170,15 @@ class SatSolver(Propagator):
     # -- main search ----------------------------------------------------------
 
     def solve(self, assumptions=(), budget: Budget | None = None) -> SolveStatus:
-        """SAT with self.model set, UNSAT (under the assumptions), or UNKNOWN on budget."""
-        self._cancel_until(0)
+        """SAT with self.model set, UNSAT (under the assumptions), or UNKNOWN on budget.
+
+        Without assumptions the search resumes from the trail that the last
+        `solve` or `add_clause` left. That trail holds only 0-first
+        decisions, and every level of it is what a descent from the root
+        would rebuild, so the answer is still the least model of the clause
+        store. A solve under assumptions starts at the root and goes back to
+        it before it returns, and so does one that runs out of budget.
+        """
         self.model = None
         if self.conflicting:
             return SolveStatus.UNSAT
@@ -145,6 +186,8 @@ class SatSolver(Propagator):
         for lit in assumptions:
             if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"bad assumption {lit!r}")
+        if assumptions:
+            self._cancel_until(0)
         budget = budget or Budget()
         deadline = None
         if budget.max_ms is not None:
@@ -152,9 +195,6 @@ class SatSolver(Propagator):
         conflicts_here = 0
         n_assumptions = len(assumptions)
 
-        if self._propagate() is not None:
-            self.conflicting = True
-            return SolveStatus.UNSAT
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -191,6 +231,8 @@ class SatSolver(Propagator):
             else:  # every assumption holds: branch, or stop at a full model
                 if len(self.trail) == self.num_vars:
                     self.model = tuple(self.assign[v] == 1 for v in range(1, self.num_vars + 1))
+                    if n_assumptions:
+                        self._cancel_until(0)
                     return SolveStatus.SAT
                 var = self._pick_branch()
                 self.decisions += 1

@@ -63,7 +63,9 @@ class BudgetClock:
 class SearchStats:
     """Effort counters for an enumeration run.
 
-    The SAT engine counts solver invocations, conflicts and decisions; the
+    The SAT engine counts solver invocations, conflicts and decisions; a
+    solve resumes at the last blocking clause's assertion level, so
+    `decisions` counts only the decisions made after each resume. The
     branch-and-bound engine reports decision nodes in `decisions`, failure
     leaves in `conflicts`, and search segments (initial descent plus one per
     replay) in `solve_calls`.

@@ -3,7 +3,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, encode_siphon,
+from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, blocking_clause, encode_siphon,
                      enumerate_minimal_bb, enumerate_minimal_sat, evaluate, gen_3sat_reduction,
                      gen_chain, gen_random_3sat, gen_random_net)
 
@@ -177,6 +177,75 @@ def test_learned_clauses_are_implied_on_dense_formulas():
     assert conflicts > 1000
 
 
+def test_free_solves_return_the_least_model_across_clause_additions():
+    # A solve without assumptions resumes from the trail that the last call
+    # left, and a clause falsified by the current assignment backjumps only
+    # to its assertion level. Whatever the mix of calls, a free solve must
+    # still return the least model of every clause so far, in
+    # product((False, True), ...) order.
+    rng = random.Random(7)
+    asserted = tied = 0
+    for _ in range(600):
+        num_vars = rng.randint(3, 8)
+        f = random_formula(rng, num_vars, rng.randint(1, 2 * num_vars))
+        s = SatSolver(f)
+        models = models_of(f)
+        for _ in range(16):
+            op = rng.choice("solve solve solve assume block block falsified falsified falsified any"
+                            .split())
+            if op == "falsified" and not s.decision_level:
+                op = "solve"
+            if op == "solve":
+                status = s.solve()
+                assert status == (SolveStatus.SAT if models else SolveStatus.UNSAT)
+                if models:
+                    assert s.model == models[0]
+            elif op == "assume":
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, num_vars + 1), rng.randint(1, 3))]
+                status = s.solve(assumptions=assumptions)
+                assert status == brute_force_status(f, assumptions)
+                if status == SolveStatus.SAT:
+                    assert s.model in models
+                    assert all(s.model[abs(a) - 1] == (a > 0) for a in assumptions)
+            else:
+                if op == "block":  # the non-superset clause of the last model
+                    if s.model is None or not any(s.model):
+                        continue
+                    clause = [-v for v in range(1, num_vars + 1) if s.model[v - 1]]
+                elif op == "falsified":
+                    false_lits = [-q for q in s.trail]
+                    clause = rng.sample(false_lits, min(rng.randint(2, 3), len(false_lits)))
+                    top = max(s.level[-q] for q in clause)
+                    same = [q for q in false_lits if s.level[-q] == top and q not in clause]
+                    if same and rng.random() < 0.5:
+                        clause.append(rng.choice(same))  # two literals share the top level
+                else:
+                    clause = [v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, num_vars + 1), rng.randint(2, 3))]
+                # A falsified clause with two literals above level 0 keeps the
+                # trail up to its assertion level; a unique top literal is asserted.
+                falsified = all(s.value(abs(q)) == (q < 0) for q in clause)
+                ranked = sorted({q for q in clause if falsified and s.level[-q]},
+                                key=lambda q: s.level[-q], reverse=True)
+                levels = [s.level[-q] for q in ranked]
+                s.add_clause(clause)
+                f.add_clause(clause)
+                models = models_of(f)
+                if len(levels) >= 2:
+                    if levels[0] != levels[1]:
+                        assert s.decision_level == levels[1]
+                        assert s.value(abs(ranked[0])) == (ranked[0] > 0)
+                        asserted += 1
+                    else:
+                        assert s.decision_level == levels[0] - 1
+                        tied += 1
+            assert_clauses_implied(s, models)
+            if not models:
+                break
+    assert asserted > 100 and tied > 100
+
+
 def test_enumerate_enzyme(enzyme):
     res = enumerate_minimal_sat(enzyme)
     names = {enzyme.set_names(s) for s in res.sets}
@@ -263,6 +332,33 @@ def test_sat_finds_the_same_sets_in_the_same_order_as_bb():
         assert sat.sets == bb.sets
         assert sat.stats.minimize_steps == 0
         assert sat.stats.solve_calls == len(sat.sets) + 1
+        checked += 1
+    assert checked >= 0.9 * len(corpus)
+
+
+def test_enumeration_matches_a_fresh_solve_per_set():
+    # The enumeration keeps its trail and learned clauses between solves; a
+    # fresh solver over the encoding and every blocking clause so far must
+    # find the same next set, down to the same final UNSAT.
+    budget = Budget(max_conflicts=5000)
+    corpus = least_model_corpus()
+    checked = 0
+    for net in corpus:
+        res = enumerate_minimal_sat(net, budget=budget)
+        if res.stats.timed_out:
+            continue
+        formula, varmap = encode_siphon(net)
+        blocking, fresh = [], []
+        while True:
+            solver = SatSolver(formula)
+            for clause in blocking:
+                solver.add_clause(clause)
+            if solver.solve() is SolveStatus.UNSAT:
+                break
+            fresh.append(varmap.true_places(solver.model))
+            blocking.append(blocking_clause(fresh[-1], varmap))
+        assert res.sets == fresh
+        assert res.stats.solve_calls == len(res.sets) + 1
         checked += 1
     assert checked >= 0.9 * len(corpus)
 
