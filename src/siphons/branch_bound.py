@@ -8,6 +8,17 @@ path is memorized, the search unwinds to the root, a permanent non-superset
 clause is posted, and the path is replayed; replay stops early at the
 deepest prefix still consistent with the new clause and the search resumes
 from there.
+
+A failure backjumps instead of backtracking chronologically (conflict-directed
+backjumping: Prosser 1993; Bayardo and Schrag, AAAI 1997). The falsified
+clause is traced back through the reasons of its literals to the decision
+levels it depends on. A 0-branch that fails flips to 1 and records its
+failure; when the 1-branch fails too, the levels below that either failure
+depends on are joined, and the search unwinds straight to the deepest of
+them, skipping the pending branches above it. Those branches share the
+failure, so only subtrees with no solution are skipped, and the solutions
+and their order do not change. No clause is learned: the only clauses added
+are the blocking clauses.
 """
 
 from .encoding import blocking_clause, encode_siphon
@@ -16,20 +27,148 @@ from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchS
                      accept)
 
 
+class _Dependencies:
+    """The decision levels each assigned literal depends on, for backjumping.
+
+    `dep[lit]` is a bitmask over levels for a true literal: bit l for the
+    decision at level l, bit 0 for the root. A decision depends on its own
+    level and an implied literal on the union over its reason clause. The
+    masks are filled in level by level, only when a failure is traced, and
+    kept for the levels 1..`valid` that have not changed since. At the level
+    of the failure only its own cone is walked, marking literals with a
+    per-walk stamp.
+
+    A failure is kept as what tracing it needs: its level, its clause, and
+    the literals of that level with their reasons. It is traced only when
+    its levels are asked for, which a failed 0-branch puts off until its
+    1-branch fails too; a backjump over that level drops it untraced. The
+    levels below it are the same then, so their masks still apply.
+    """
+
+    def __init__(self, prop: Propagator):
+        self.prop = prop
+        self.dep: list[int] = []   # both allocated by the first trace
+        self.mark: list[int] = []
+        self.stamp = 0
+        self.valid = 0             # levels 1..valid are filled in
+        self.rooted = 0            # so are trail[:rooted], all at level 0
+
+    def failure(self):
+        """The clause `prop.conflict` falsified at the current level, kept for
+        tracing. If its literals sit on every open level, so does the failure,
+        as every assigned literal depends on the decision of its own level:
+        then the levels below are returned at once, as a mask."""
+        prop = self.prop
+        top = prop.decision_level
+        clause = prop.clauses[prop.conflict]
+        if len(clause) >= top:
+            level = prop.level
+            on = {level[-q] for q in clause}
+            if len(on) - (0 in on) == top:
+                return (1 << top) - 2
+        at_top = prop.trail[prop.trail_lim[top - 1]:]
+        return top, clause, at_top, list(map(prop.reason.__getitem__, at_top))
+
+    def below(self, failure) -> int:
+        """The levels below a failure's own that it depends on (bit 0 never
+        set), tracing it now if it was kept."""
+        if type(failure) is int:
+            return failure
+        top, clause, at_top, reasons = failure
+        self._fill(top - 1)
+        dep = self.dep
+        mark = self.mark
+        clauses = self.prop.clauses
+        on_top = set(at_top)
+        stamp = self.stamp = self.stamp + 1
+        # Walk the cone back along the level's literals: a marked literal
+        # marks the literals of its reason at that level, and the lower
+        # ones add their filled-in masks.
+        levels = 0
+        for q in clause:
+            t = -q
+            if t in on_top:
+                mark[t] = stamp
+            else:
+                levels |= dep[t]
+        for i in range(len(at_top) - 1, 0, -1):
+            t = at_top[i]
+            if mark[t] == stamp:
+                for q in clauses[reasons[i]]:
+                    x = -q
+                    if x in on_top:
+                        mark[x] = stamp
+                    elif q != t:
+                        levels |= dep[x]
+        return levels & ((1 << top) - 2)
+
+    def _fill(self, upto: int) -> None:
+        """Fill in the masks of the open levels up to `upto`."""
+        prop = self.prop
+        trail = prop.trail
+        lim = prop.trail_lim
+        dep = self.dep
+        if not dep:
+            dep = self.dep = [0] * len(prop.assign)
+            self.mark = [0] * len(prop.assign)
+        root = lim[0] if lim else len(trail)
+        if self.rooted < root:
+            for x in trail[self.rooted:root]:
+                dep[x] = 1
+            self.rooted = root
+        if self.valid < upto:
+            level = prop.level
+            reason = prop.reason
+            clauses = prop.clauses
+            end = lim[upto] if upto < len(lim) else len(trail)
+            for x in trail[lim[self.valid]:end]:
+                r = reason[x]
+                if r is None:
+                    dep[x] = 1 << level[x]
+                else:
+                    dep[-x] = 0  # x's own slot in its reason clause
+                    m = 0
+                    for q in clauses[r]:
+                        m |= dep[-q]
+                    dep[x] = m
+            self.valid = upto
+
+    def replayed(self, old_trail: list[int], old_lim: list[int]) -> None:
+        """Keep the masks of the leading levels that a replay rebuilt exactly:
+        the same literals in the same places. Their reasons may differ, but
+        the old ones are still clauses, so the old masks still hold."""
+        trail = self.prop.trail
+        lim = self.prop.trail_lim
+        kept = min(self.valid, len(lim))
+        while kept:
+            end = lim[kept] if kept < len(lim) else len(trail)
+            old_end = old_lim[kept] if kept < len(old_lim) else len(old_trail)
+            if lim[:kept] == old_lim[:kept] and trail[:end] == old_trail[:old_end]:
+                break
+            kept -= 1
+        self.valid = kept
+
+
 def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
     """Yield the place set of each solution of the 0-first search, in order.
 
-    Resuming after a solution unwinds to the root, posts its non-superset
-    clause and replays its decision path. Counters go into `stats`; the
-    search ends at a root conflict or when the budget runs out.
+    A conflict backjumps to the deepest decision it depends on (see the
+    module docstring). Resuming after a solution unwinds to the root, posts
+    its non-superset clause and replays its decision path. Counters go into
+    `stats`; the search ends when a conflict depends on no decision or
+    when the budget runs out.
     """
     formula, varmap = encode_siphon(net)
     prop = Propagator(formula)
     clock = BudgetClock(budget)
-    stack: list[tuple[int, bool]] = []  # decisions; False still has the 1-branch pending
+    # One entry per decision level: (var, value, failure). A 0-branch still
+    # has its 1-branch pending; a 1-branch carries the failure of its
+    # 0-branch (see _Dependencies).
+    stack: list[tuple[int, bool, object]] = []
+    deps = _Dependencies(prop)
 
-    def decide(var, value):
-        stack.append((var, value))
+    def decide(var, value, failure=0):
+        stack.append((var, value, failure))
         stats.decisions += 1
         if emit:
             emit(f"D {var}={1 if value else 0} {len(stack)}")
@@ -47,36 +186,76 @@ def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
     while not stats.timed_out:
         if not consistent:
             stats.conflicts += 1
-            while stack and stack[-1][1]:
-                stack.pop()
-                prop.backtrack()
-                if emit:
-                    emit(f"B {len(stack)}")
-            if not stack:
-                break
-            var, _ = stack.pop()
+            depth = len(stack)
+            if not depth:
+                break  # a conflict at the root: nothing is left
+            var, value, recorded = stack[-1]
+            if value and recorded == (1 << depth) - 2:
+                # A 1-branch whose 0-branch depended on every level below:
+                # the jump is to the level below, whatever this failure
+                # depended on.
+                failure = recorded
+            else:
+                failure = deps.failure()
+            stack.pop()
             prop.backtrack()
+            depth -= 1
             if emit:
-                emit(f"B {len(stack)}")
-            consistent = decide(var, True)
+                emit(f"B {depth}")
+            if value:
+                # Both branches failed: unwind to the deepest level below
+                # that either failure depends on. A 0-branch there flips to
+                # 1; a 1-branch failed both ways too, so its 0-branch's
+                # levels join in and the jump goes on. With no level left,
+                # the search is over.
+                levels = deps.below(failure) | deps.below(recorded)
+                while levels:
+                    top = levels.bit_length() - 1
+                    while depth >= top:
+                        var, value, recorded = stack.pop()
+                        prop.backtrack()
+                        depth -= 1
+                        if emit:
+                            emit(f"B {depth}")
+                    levels ^= 1 << top
+                    if not value:
+                        break
+                    levels |= deps.below(recorded)
+                else:
+                    while stack:
+                        stack.pop()
+                        prop.backtrack()
+                        if emit:
+                            emit(f"B {len(stack)}")
+                    break
+                failure = levels
+            if deps.valid > depth:
+                deps.valid = depth
+            consistent = decide(var, True, failure)
         elif prop.all_assigned():
             found = frozenset(varmap.place(v) for v in prop.true_vars())
             yield found
             path = stack.copy()
             stack.clear()
+            old = (prop.trail.copy(), prop.trail_lim.copy()) if deps.valid else None
             prop.backtrack_all()
             stats.solve_calls += 1
             if not prop.add_clause(blocking_clause(found, varmap)) or out_of_budget():
                 break  # a root conflict ends the enumeration
+            # Replay while the path's variables are still free. The first one
+            # that the new clause has decided, either way, ends the replay: if
+            # it is implied as decided, the decisions after it would only repeat
+            # the 0-first rule. So every replayed decision keeps its level, and
+            # the failures recorded on them still apply.
             consistent = True
-            for var, value in path:
-                known = prop.value(var)
-                if known is None:
-                    consistent = decide(var, value)
-                    if not consistent:
-                        break
-                elif known != value:
-                    break  # this subtree is now cut; resume here
+            for var, value, recorded in path:
+                if prop.value(var) is not None:
+                    break
+                consistent = decide(var, value, recorded)
+                if not consistent:
+                    break
+            if old:
+                deps.replayed(*old)
         else:
             consistent = decide(prop._pick_branch(), False)
         if stats.decisions % 256 == 0:
@@ -89,8 +268,8 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     """All minimal siphons by propagation-based depth-first search.
 
     `trace`, if given, is called with one line per event: `D <var>=<0|1>
-    <depth>` for decisions, `B <depth>` for backtracks, `S {places}` for
-    solutions.
+    <depth>` for decisions, `B <depth>` for each level a backjump pops (the
+    depth left), `S {places}` for solutions.
     """
     if trace is None or callable(trace):
         emit = trace

@@ -8,6 +8,7 @@ stats (summary over a directory of models). Exit codes: 0 on success
 
 import argparse
 import csv
+import functools
 import io
 import json
 import statistics
@@ -281,7 +282,9 @@ def cmd_stats(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; `parse_args` does not change it."""
     parser = argparse.ArgumentParser(prog="siphons",
                                      description="Minimal siphon and trap enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -45,32 +45,22 @@ class SolveStatus(Enum):
 class SatSolver(Propagator):
     """Incremental CDCL solver over a CnfFormula; clauses may be added between calls.
 
-    The clause store, propagation and branching cursor are the shared
-    `Propagator`; this class adds decision levels, reasons, learning,
-    assumptions and `solve`. Like `assign`, the level, reason and
-    conflict-analysis mark of a variable are indexed by its true literal.
+    The clause store, propagation, levels, reasons and branching cursor are
+    the shared `Propagator`; this class adds learning, assumptions and
+    `solve`. Like `assign`, the conflict-analysis mark of a variable is
+    indexed by its true literal.
     """
 
     def __init__(self, formula: CnfFormula):
         n = formula.num_vars
-        # Set before the base constructor, whose root unit clauses enqueue.
-        self.level = [0] * (2 * n + 1)
-        self.reason: list[int | None] = [None] * (2 * n + 1)
+        super().__init__(CnfFormula(n))
         self._seen = [False] * (2 * n + 1)
         self.model: Assignment | None = None
         self.conflicts = 0
         self.decisions = 0
-        super().__init__(CnfFormula(n))
         # Input clauses go in highest variable first (see the module docstring).
         for clause in formula.clauses:
             self._add_root_clause(sorted(clause, key=abs, reverse=True))
-
-    def _enqueue(self, lit: int, reason: int | None) -> None:
-        self.assign[lit] = 1
-        self.assign[-lit] = -1
-        self.level[lit] = self.decision_level
-        self.reason[lit] = reason
-        self.trail.append(lit)
 
     def add_clause(self, literals) -> bool:
         """Add a permanent clause; returns False once the store is UNSAT at the root.

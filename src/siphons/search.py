@@ -1,11 +1,12 @@
 """Shared core of the two enumeration engines.
 
 `Propagator` is the one watched-literal clause store and unit propagation
-loop: branch-and-bound drives it through `decide`/`backtrack`, and the SAT
-solver subclasses it with decision levels, reasons and conflict learning.
-Truth values are indexed by literal, as in MiniSat, so reading one takes no
-sign arithmetic. Also here: budgets, stats, results, and the per-set
-acceptance step.
+loop, with the decision level and reason of every assignment:
+branch-and-bound drives it through `decide`/`backtrack` and reads the
+falsified clause for backjumping, and the SAT solver subclasses it with
+conflict learning. Truth values, levels and reasons are indexed by literal,
+as in MiniSat, so reading one takes no sign arithmetic. Also here: budgets,
+stats, results, and the per-set acceptance step.
 """
 
 import time
@@ -66,9 +67,10 @@ class SearchStats:
     The SAT engine counts solver invocations, conflicts and decisions; a
     solve resumes at the last blocking clause's assertion level, so
     `decisions` counts only the decisions made after each resume. The
-    branch-and-bound engine reports decision nodes in `decisions`, failure
-    leaves in `conflicts`, and search segments (initial descent plus one per
-    replay) in `solve_calls`.
+    branch-and-bound engine reports decision nodes in `decisions`, including
+    the replayed ones, falsified clauses in `conflicts` (one per failure,
+    however many levels its backjump pops), and search segments (initial
+    descent plus one per replay) in `solve_calls`.
     """
 
     solve_calls: int = 0
@@ -128,7 +130,10 @@ class Propagator:
     `assign` has 2n+1 entries indexed by literal, as in MiniSat:
     `assign[lit]` is 1 if lit is true, -1 if false, 0 if unassigned. A
     negative literal wraps into the top half, so an out-of-range one does
-    not raise: every public entry checks its variables first.
+    not raise: every public entry checks its variables first. `level` and
+    `reason` are kept under the true literal: the decision level at which
+    it was assigned, and the index of the clause that forced it (None for a
+    decision or a root unit).
     Branching takes the lowest-index unassigned variable, found by a cursor
     below which every variable is assigned.
     """
@@ -137,6 +142,8 @@ class Propagator:
         self.num_vars = formula.num_vars
         n = self.num_vars
         self.assign = [0] * (2 * n + 1)
+        self.level = [0] * (2 * n + 1)
+        self.reason: list[int | None] = [None] * (2 * n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.decision_level = 0              # len(self.trail_lim)
@@ -149,9 +156,15 @@ class Propagator:
             self.watches[-v] = []
         self._next_var = 1                   # every variable below it is assigned
         self.conflicting = False             # a root-level clause is falsified
+        self.conflict: int | None = None     # the clause the last `decide` falsified
         self.propagations = 0
         for clause in formula.clauses:
-            self._add_root_clause(clause)
+            # A CnfFormula's clauses are checked, duplicate- and tautology-free,
+            # so until a unit clause assigns something they go in as they are.
+            if len(clause) > 1 and not self.trail:
+                self._attach(list(clause))
+            else:
+                self._add_root_clause(clause)
 
     # -- assignment bookkeeping -------------------------------------------
 
@@ -172,10 +185,11 @@ class Propagator:
         return [v for v in range(1, self.num_vars + 1) if self.assign[v] > 0]
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
-        """Assign lit true; `reason`, the index of the clause that forced it,
-        is kept only by the learning subclass."""
+        """Assign lit true at the current level, forced by clause `reason`."""
         self.assign[lit] = 1
         self.assign[-lit] = -1
+        self.level[lit] = self.decision_level
+        self.reason[lit] = reason
         self.trail.append(lit)
 
     def _cancel_until(self, target: int) -> None:
@@ -265,7 +279,10 @@ class Propagator:
         spans = self.spans
         watches = self.watches
         trail = self.trail
-        enqueue = self._enqueue
+        level = self.level
+        reason = self.reason
+        depth = self.decision_level
+        push = trail.append
         qhead = self.qhead
         start = len(trail)
         while qhead < len(trail):
@@ -295,8 +312,12 @@ class Propagator:
                 else:
                     watchers[j] = ci
                     j += 1
-                    if a == 0:
-                        enqueue(first, ci)
+                    if a == 0:  # `_enqueue`, inlined
+                        assign[first] = 1
+                        assign[-first] = -1
+                        level[first] = depth
+                        reason[first] = ci
+                        push(first)
                     else:
                         del watchers[j:i]
                         self.qhead = len(trail)
@@ -310,13 +331,26 @@ class Propagator:
     # -- search interface for branch-and-bound --------------------------------
 
     def decide(self, var: int, value: bool) -> bool:
-        """Open a decision level, assign, propagate; False on conflict."""
-        if self.value(var) is not None:
+        """Open a decision level, assign, propagate; False on conflict, with
+        the falsified clause's index left in `conflict`."""
+        # `value` and `_enqueue`, inlined: this runs once per
+        # branch-and-bound node.
+        if not 1 <= var <= self.num_vars:
+            raise ValueError(f"invalid variable {var!r}")
+        assign = self.assign
+        if assign[var]:
             raise ValueError(f"variable {var} is already assigned")
-        self.trail_lim.append(len(self.trail))
+        lit = var if value else -var
+        trail = self.trail
+        self.trail_lim.append(len(trail))
         self.decision_level += 1
-        self._enqueue(var if value else -var, None)
-        return self._propagate() is None
+        assign[lit] = 1
+        assign[-lit] = -1
+        self.level[lit] = self.decision_level
+        self.reason[lit] = None
+        trail.append(lit)
+        self.conflict = self._propagate()
+        return self.conflict is None
 
     def backtrack(self) -> None:
         """Undo the most recent decision level."""

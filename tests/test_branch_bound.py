@@ -3,9 +3,12 @@ from itertools import product
 
 import pytest
 
-from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus, encode_siphon,
+from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus,
+                     brute_force_minimal_siphons, brute_force_minimal_traps, encode_siphon,
                      enumerate_minimal_bb, enumerate_minimal_sat, evaluate,
-                     first_solution_is_minimal_check, gen_chain)
+                     first_solution_is_minimal_check, gen_3sat_reduction, gen_chain,
+                     gen_random_3sat, gen_random_net)
+from siphons.branch_bound import _Dependencies
 
 from conftest import enzyme_net, example2_net, random_net_corpus
 
@@ -280,3 +283,115 @@ def test_bb_budget_partial_results_are_siphons():
         assert len(res.sets) < 512
     for s in res.sets:
         assert net.is_siphon(s)
+
+
+def least_model_order(net, sets):
+    """Sets in the order of the 0-first search: by membership vector in place
+    order, absent before present."""
+    return sorted(sets, key=lambda s: [p in s for p in range(len(net.places))])
+
+
+@pytest.mark.parametrize("target", ["siphons", "traps"])
+def test_bb_matches_the_oracle_in_least_model_order(target):
+    # Backjumping skips only subtrees without a model, so each set is still
+    # the least model left: the output is every minimal set, in that order.
+    for seed in range(120):
+        net = random_net_corpus(1, base_seed=seed)[0]
+        if target == "siphons":
+            searched, oracle = net, brute_force_minimal_siphons(net)
+        else:
+            searched, oracle = net.dual(), brute_force_minimal_traps(net)
+        assert enumerate_minimal_bb(searched).sets == least_model_order(net, oracle)
+
+
+def test_bb_backjumps_past_decisions_a_conflict_does_not_depend_on():
+    # Chronological backtracking re-explores every combination of the
+    # decisions above a failure and took 2,551 conflicts for these 256 sets.
+    res = enumerate_minimal_bb(gen_chain(8))
+    assert len(res.sets) == 256 and res.complete
+    assert res.stats.conflicts <= len(res.sets)
+
+
+def test_bb_replay_stops_at_a_decision_the_new_clause_implies(monkeypatch):
+    # With seed 5, some blocking clause forces a variable of the replayed
+    # path to the value the path had decided for it. The replay stops there
+    # and the search goes on from that level, so no later level shifts down
+    # under the levels recorded for backjumping.
+    net = random_net_corpus(1, base_seed=5)[0]
+    events = []
+    value = Propagator.value
+
+    def spy(prop, var):
+        known = value(prop, var)
+        events.append((var, known))
+        return known
+
+    monkeypatch.setattr(Propagator, "value", spy)
+    res = enumerate_minimal_bb(net, trace=events.append)
+    stack, path, implied = [], [], 0
+    for event in events:
+        if isinstance(event, tuple):  # the replay asks for a path variable
+            implied += event in path
+        elif event.startswith("D "):
+            assignment, depth = event[2:].split()
+            var, bit = assignment.split("=")
+            del stack[int(depth) - 1:]
+            stack.append((int(var), bit == "1"))
+        elif event.startswith("B "):
+            del stack[int(event[2:]):]
+        else:  # a solution: the search unwinds and replays this path
+            path = list(stack)
+            stack.clear()
+    assert implied >= 1
+    assert res.sets == least_model_order(net, brute_force_minimal_siphons(net))
+
+
+def forces_conflict(prop, decisions):
+    """Whether these decision literals alone, with the clauses and the root
+    units, unit-propagate to a conflict: the condition under which jumping
+    over every other level skips no solution."""
+    fresh = Propagator(CnfFormula(prop.num_vars))
+    for lit in prop.trail[:prop.trail_lim[0] if prop.trail_lim else len(prop.trail)]:
+        fresh.add_clause([lit])
+    for clause in prop.clauses:
+        if not fresh.add_clause(clause):
+            return True
+    for lit in decisions:
+        known = fresh.value(abs(lit))
+        if known is None:
+            if not fresh.decide(abs(lit), lit > 0):
+                return True
+        elif known != (lit > 0):
+            return True
+    return False
+
+
+def test_bb_traced_levels_force_the_failure(monkeypatch):
+    # Every traced failure is checked: the decisions of the levels below it
+    # that it is said to depend on, plus its own decision, must force it.
+    # The three seeded nets post a blocking clause that changes the replayed
+    # trail at a level whose masks were filled in before the solution, so
+    # stale masks would show.
+    checks = []
+    below = _Dependencies.below
+
+    def checked(deps, failure):
+        levels = below(deps, failure)
+        if type(failure) is not int:
+            top, _, at_top, _ = failure
+            prop = deps.prop
+            decisions = [prop.trail[prop.trail_lim[lv - 1]]
+                         for lv in range(1, top) if levels >> lv & 1]
+            checks.append(forces_conflict(prop, decisions + [at_top[0]]))
+        return levels
+
+    monkeypatch.setattr(_Dependencies, "below", checked)
+    nets = [gen_random_net(16, 8, 3, 0), gen_random_net(20, 10, 3, 172).dual(),
+            random_net_corpus(1, base_seed=288)[0],
+            gen_chain(6), gen_3sat_reduction(gen_random_3sat(6, 26, 0))]
+    for seed in range(40):
+        net = random_net_corpus(1, base_seed=seed)[0]
+        nets += [net, net.dual()]
+    for net in nets:
+        enumerate_minimal_bb(net)
+    assert len(checks) > 100 and all(checks)

@@ -7,7 +7,7 @@ import pytest
 
 from siphons import (enumerate_minimal_siphons, parse_pnml, parse_reactions,
                      siphon_trap_report)
-from siphons.cli import main
+from siphons.cli import build_parser, main
 
 
 def run(argv):
@@ -153,6 +153,20 @@ def test_exit_codes(models_dir, tmp_path):
     assert run(["analyze"])[0] == 1
     assert run(["nonsense"])[0] == 1
     assert run(["--help"])[0] == 0
+
+
+def test_parser_is_built_once_and_reused(models_dir):
+    # one parser serves every call in a process, so a parse of good
+    # arguments leaves nothing behind that changes the next parse
+    assert build_parser() is build_parser()
+    good = ["analyze", str(models_dir / "enzyme.rxn"), "--engine", "bb", "--output", "json"]
+    code, out, _ = run(good)
+    assert code == 0 and json.loads(out)["engine"] == "bb"
+    assert run(["analyze", str(models_dir / "enzyme.rxn"), "--engine", "nope"])[0] == 1
+    code, out, _ = run(["analyze", str(models_dir / "enzyme.rxn"), "--output", "json"])
+    assert code == 0 and json.loads(out)["engine"] == "sat"
+    assert run(["analyze"])[0] == 1
+    assert run(good)[0] == 0
 
 
 def test_gen_chain(tmp_path):
