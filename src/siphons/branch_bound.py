@@ -3,11 +3,12 @@
 Depth-first search with unit propagation on the shared `Propagator`; every
 decision takes the lowest-index unassigned variable and tries 0 before 1,
 which makes the leftmost solution inclusion-minimal and guarantees that no
-later solution is a subset of an earlier one. On each solution the decision
-path is memorized, the search unwinds to the root, a permanent non-superset
-clause is posted, and the path is replayed; replay stops early at the
-deepest prefix still consistent with the new clause and the search resumes
-from there.
+later solution is a subset of an earlier one. On each solution a permanent
+non-superset clause is posted on the live trail, as the SAT engine does:
+the model falsifies it, so `Propagator.add_clause` backjumps to the
+clause's assertion level and asserts its top literal there. The levels
+below are kept as they are; the path decisions above that level are
+re-decided while their variables are still free, and the search goes on.
 
 A failure backjumps instead of backtracking chronologically (conflict-directed
 backjumping: Prosser 1993; Bayardo and Schrag, AAAI 1997). The falsified
@@ -133,30 +134,15 @@ class _Dependencies:
                     dep[x] = m
             self.valid = upto
 
-    def replayed(self, old_trail: list[int], old_lim: list[int]) -> None:
-        """Keep the masks of the leading levels that a replay rebuilt exactly:
-        the same literals in the same places. Their reasons may differ, but
-        the old ones are still clauses, so the old masks still hold."""
-        trail = self.prop.trail
-        lim = self.prop.trail_lim
-        kept = min(self.valid, len(lim))
-        while kept:
-            end = lim[kept] if kept < len(lim) else len(trail)
-            old_end = old_lim[kept] if kept < len(old_lim) else len(old_trail)
-            if lim[:kept] == old_lim[:kept] and trail[:end] == old_trail[:old_end]:
-                break
-            kept -= 1
-        self.valid = kept
-
 
 def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
     """Yield the place set of each solution of the 0-first search, in order.
 
     A conflict backjumps to the deepest decision it depends on (see the
-    module docstring). Resuming after a solution unwinds to the root, posts
-    its non-superset clause and replays its decision path. Counters go into
-    `stats`; the search ends when a conflict depends on no decision or
-    when the budget runs out.
+    module docstring). After a solution the search resumes at its
+    non-superset clause's assertion level and replays only the decisions
+    above it. Counters go into `stats`; the search ends when a conflict
+    depends on no decision or when the budget runs out.
     """
     formula, varmap = encode_siphon(net)
     prop = Propagator(formula)
@@ -235,27 +221,28 @@ def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
         elif prop.all_assigned():
             found = frozenset(varmap.place(v) for v in prop.true_vars())
             yield found
-            path = stack.copy()
-            stack.clear()
-            old = (prop.trail.copy(), prop.trail_lim.copy()) if deps.valid else None
-            prop.backtrack_all()
             stats.solve_calls += 1
             if not prop.add_clause(blocking_clause(found, varmap)) or out_of_budget():
                 break  # a root conflict ends the enumeration
-            # Replay while the path's variables are still free. The first one
-            # that the new clause has decided, either way, ends the replay: if
-            # it is implied as decided, the decisions after it would only repeat
-            # the 0-first rule. So every replayed decision keeps its level, and
-            # the failures recorded on them still apply.
-            consistent = True
+            # The clause sent the search back to its assertion level and
+            # asserted its top literal there; that level's masks are refilled
+            # when next asked for, and the levels below are as they were. The
+            # path above is replayed while its variables are still free. The
+            # first one that the new clause has decided, either way, ends the
+            # replay: if it is implied as decided, the decisions after it
+            # would only repeat the 0-first rule. So every replayed decision
+            # keeps its level, and the failures recorded on them still apply.
+            kept = prop.decision_level
+            path = stack[kept:]
+            del stack[kept:]
+            if deps.valid >= kept:
+                deps.valid = max(kept - 1, 0)
+            prop.conflict = prop._propagate()
+            consistent = prop.conflict is None
             for var, value, recorded in path:
-                if prop.value(var) is not None:
+                if not consistent or prop.value(var) is not None:
                     break
                 consistent = decide(var, value, recorded)
-                if not consistent:
-                    break
-            if old:
-                deps.replayed(*old)
         else:
             consistent = decide(prop._pick_branch(), False)
         if stats.decisions % 256 == 0:
@@ -269,7 +256,9 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
 
     `trace`, if given, is called with one line per event: `D <var>=<0|1>
     <depth>` for decisions, `B <depth>` for each level a backjump pops (the
-    depth left), `S {places}` for solutions.
+    depth left), `S {places}` for solutions. No `B` lines follow an `S`
+    line: the depth of the next `D` line gives the level the search resumed
+    at, one above the blocking clause's assertion level.
     """
     if trace is None or callable(trace):
         emit = trace

@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -170,12 +171,14 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
+        if not all(map(math.isfinite, alphas)):
+            raise ValueError
     except ValueError:
         raise ValueError(f"bad alpha list {args.alpha!r}") from None
     if not alphas or args.trials < 1:
         raise ValueError("need at least one alpha and one trial")
     n = args.vars
-    budget_ms = args.timeout if args.timeout > 0 else None
+    budget = _budget(args)
     rows = []
     for index, alpha in enumerate(alphas):
         m = round(alpha * n)
@@ -188,7 +191,6 @@ def cmd_sweep(args) -> int:
                 formula, _ = encode_siphon(net)
                 f_vars, f_clauses = formula.num_vars, len(formula.clauses)
                 places, transitions = len(net.places), len(net.transitions)
-            budget = Budget(max_ms=budget_ms) if budget_ms is not None else None
             result = enumerate_minimal_siphons(net, engine=args.engine, budget=budget)
             times.append(result.stats.elapsed_ms)
             counts.append(len(result.sets))
@@ -224,7 +226,7 @@ def cmd_stats(args) -> int:
     files = sorted(p for p in directory.iterdir() if p.suffix in MODEL_SUFFIXES)
     if not files:
         raise ValueError(f"no model files in {directory}")
-    budget_ms = args.timeout if args.timeout > 0 else None
+    budget = _budget(args)
     entries = []
     failures = []
     for path in files:
@@ -233,7 +235,6 @@ def cmd_stats(args) -> int:
         except (ParseError, ValueError) as exc:
             failures.append((path.name, str(exc)))
             continue
-        budget = Budget(max_ms=budget_ms) if budget_ms is not None else None
         result = enumerate_minimal_siphons(net, engine=args.engine, budget=budget)
         entries.append({
             "model": path.name,

@@ -20,12 +20,13 @@ and this branching rule, each solve returns the lexicographically least
 model of the clause store (False below True), which is inclusion-minimal
 among the models left; blocking clauses remove only supersets of sets
 already found, so every model is a new minimal siphon. The model falsifies
-its blocking clause, so the clause goes in like a learned one, by
-decreasing level: the search backjumps to the clause's assertion level
-and the next solve resumes there rather than re-descending from the root,
-as all-solutions CDCL solvers do (Toda and Soh, ACM JEA 2016). The levels
-kept are the ones a descent from the root would rebuild, and the clause is
-not unit below them, so the models and their order do not change.
+its blocking clause, so `Propagator.add_clause` takes it like a learned
+one, by decreasing level: the search backjumps to the clause's assertion
+level and the next solve resumes there rather than re-descending from the
+root, as all-solutions CDCL solvers do (Toda and Soh, ACM JEA 2016).
+Branch-and-bound resumes through the same call. The levels kept are the
+ones a descent from the root would rebuild, and the clause is not unit
+below them, so the models and their order do not change.
 """
 
 import time
@@ -61,39 +62,6 @@ class SatSolver(Propagator):
         # Input clauses go in highest variable first (see the module docstring).
         for clause in formula.clauses:
             self._add_root_clause(sorted(clause, key=abs, reverse=True))
-
-    def add_clause(self, literals) -> bool:
-        """Add a permanent clause; returns False once the store is UNSAT at the root.
-
-        A clause that the current assignment falsifies (a blocking clause
-        against the model just found always is) goes in like a learned
-        clause: its literals fixed at level 0 are dropped, the rest are
-        sorted by decreasing level, and the search backjumps only as far as
-        it must. If the top level is unique, it backjumps to the
-        second-highest level and asserts the top literal; if two literals
-        share the top level, it backjumps to the level below and attaches.
-        A clause with at most one literal above level 0, and any other
-        clause, goes in at the root with the search state unwound first.
-        """
-        literals = list(literals)
-        num_vars = self.num_vars
-        assign = self.assign
-        if self.decision_level and all(isinstance(q, int) and 0 < abs(q) <= num_vars
-                                       and assign[q] == -1 for q in literals):
-            level = self.level
-            clause = sorted((q for q in dict.fromkeys(literals) if level[-q]),
-                            key=lambda q: level[-q], reverse=True)
-            if len(clause) >= 2:
-                top, second = level[-clause[0]], level[-clause[1]]
-                if top != second:
-                    self._cancel_until(second)
-                    self._enqueue(clause[0], self._attach(clause))
-                else:
-                    self._cancel_until(top - 1)
-                    self._attach(clause)
-                return True
-        self._cancel_until(0)
-        return self._add_root_clause(literals)
 
     # -- conflict analysis ----------------------------------------------------
 

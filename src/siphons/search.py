@@ -4,9 +4,11 @@
 loop, with the decision level and reason of every assignment:
 branch-and-bound drives it through `decide`/`backtrack` and reads the
 falsified clause for backjumping, and the SAT solver subclasses it with
-conflict learning. Truth values, levels and reasons are indexed by literal,
-as in MiniSat, so reading one takes no sign arithmetic. Also here: budgets,
-stats, results, and the per-set acceptance step.
+conflict learning. Both post each blocking clause through `add_clause`,
+which resumes the search at the clause's assertion level. Truth values,
+levels and reasons are indexed by literal, as in MiniSat, so reading one
+takes no sign arithmetic. Also here: budgets, stats, results, and the
+per-set acceptance step.
 """
 
 import time
@@ -64,13 +66,13 @@ class BudgetClock:
 class SearchStats:
     """Effort counters for an enumeration run.
 
-    The SAT engine counts solver invocations, conflicts and decisions; a
-    solve resumes at the last blocking clause's assertion level, so
-    `decisions` counts only the decisions made after each resume. The
-    branch-and-bound engine reports decision nodes in `decisions`, including
-    the replayed ones, falsified clauses in `conflicts` (one per failure,
-    however many levels its backjump pops), and search segments (initial
-    descent plus one per replay) in `solve_calls`.
+    Both engines resume after each set at its blocking clause's assertion
+    level, so `decisions` counts only the decisions made after each resume,
+    and `solve_calls` is one per set plus the first descent. The SAT engine
+    counts solver invocations, conflicts and decisions. The branch-and-bound
+    engine reports decision nodes in `decisions`, including the path
+    decisions it re-makes above the assertion level, and falsified clauses
+    in `conflicts` (one per failure, however many levels its backjump pops).
     """
 
     solve_calls: int = 0
@@ -223,9 +225,37 @@ class Propagator:
     # -- clause management ---------------------------------------------------
 
     def add_clause(self, literals) -> bool:
-        """Post a permanent clause at the root; returns False on root conflict."""
-        if self.decision_level:
-            raise ValueError("clauses may only be added at the root level")
+        """Add a permanent clause; returns False once the store is UNSAT at the root.
+
+        A clause that the current assignment falsifies (a blocking clause
+        against the model just found always is) goes in like a learned
+        clause: its literals fixed at level 0 are dropped, the rest are
+        sorted by decreasing level, and the search backjumps only as far as
+        it must. If the top level is unique, it backjumps to the
+        second-highest level and asserts the top literal there, which the
+        caller propagates; if two literals share the top level, it backjumps
+        to the level below and attaches. A clause with at most one literal
+        above level 0, and any other clause, goes in at the root with the
+        search state unwound first.
+        """
+        literals = list(literals)
+        num_vars = self.num_vars
+        assign = self.assign
+        if self.decision_level and all(isinstance(q, int) and 0 < abs(q) <= num_vars
+                                       and assign[q] == -1 for q in literals):
+            level = self.level
+            clause = sorted((q for q in dict.fromkeys(literals) if level[-q]),
+                            key=lambda q: level[-q], reverse=True)
+            if len(clause) >= 2:
+                top, second = level[-clause[0]], level[-clause[1]]
+                if top != second:
+                    self._cancel_until(second)
+                    self._enqueue(clause[0], self._attach(clause))
+                else:
+                    self._cancel_until(top - 1)
+                    self._attach(clause)
+                return True
+        self._cancel_until(0)
         return self._add_root_clause(literals)
 
     def _add_root_clause(self, literals) -> bool:

@@ -153,6 +153,9 @@ def test_exit_codes(models_dir, tmp_path):
     assert run(["analyze"])[0] == 1
     assert run(["nonsense"])[0] == 1
     assert run(["--help"])[0] == 0
+    for alpha in ("inf", "nan"):  # not a clause/variable ratio
+        code, _, err = run(["sweep", "--alpha", alpha, "--trials", "1"])
+        assert code == 1 and err.splitlines() == [f"error: bad alpha list {alpha!r}"]
 
 
 def test_parser_is_built_once_and_reused(models_dir):
