@@ -62,10 +62,10 @@ def max_trap_within(net: PetriNet, s: Iterable[int]) -> PlaceSet:
     not produce into the remaining set.
     """
     current = set(net._check_set(s))
+    pre, post = net._pre_transitions, net._post_transitions
     while True:
-        producers = frozenset().union(*(net.pre_transitions(p) for p in current)) \
-            if current else frozenset()
-        dropped = [p for p in current if not net.post_transitions(p) <= producers]
+        producers = frozenset().union(*(pre[p] for p in current))
+        dropped = [p for p in current if not post[p] <= producers]
         if not dropped:
             return frozenset(current)
         current.difference_update(dropped)

@@ -5,6 +5,12 @@ For each place p and each transition t producing p, selecting p requires
 selecting some place consumed by t; one final clause over all variables
 rules out the empty set. Tautological clauses (from self-loops) are
 dropped and duplicate clauses are kept once.
+
+Each index is checked once, where it enters: `PetriNet.__init__` checks
+every arc, and `CnfFormula.add_clause` every literal of a clause from
+outside (DIMACS text, a caller's clause). `encode_siphon` reads the net's
+checked adjacency directly and builds its clauses without checking them
+again, and the engines attach a formula's clauses as they are.
 """
 
 from collections.abc import Iterable, Sequence
@@ -24,7 +30,9 @@ class CnfFormula:
             raise ValueError("formula needs at least one variable")
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
-        self._seen: set[frozenset[int]] = set()
+        # The clauses as literal sets, built on the first `add_clause`, so a
+        # formula that `encode_siphon` fills directly pays for no index.
+        self._seen: set[frozenset[int]] | None = None
         for clause in clauses:
             self.add_clause(clause)
 
@@ -42,6 +50,8 @@ class CnfFormula:
             raise ValueError("empty clause")
         if any(-lit in seen for lit in seen):
             return False
+        if self._seen is None:
+            self._seen = set(map(frozenset, self.clauses))
         key = frozenset(out)
         if key in self._seen:
             return False
@@ -88,13 +98,26 @@ def encode_siphon(net: PetriNet) -> tuple[CnfFormula, VarMap]:
     n = len(net.places)
     if n == 0:
         raise ValueError("cannot encode a net without places")
-    varmap = VarMap(net.places)
+    # The net's arcs are checked, so the clauses are built as they are stored
+    # (see the module docstring). A clause is -p followed by its producer's
+    # input variables in ascending order; one that holds p is a tautology,
+    # and as the form is canonical, equal tuples are exactly duplicates.
+    inputs = net._pre_places
+    sorted_inputs = [tuple([q + 1 for q in sorted(s)]) for s in inputs]
+    clauses: list[Clause] = []
+    seen: set[Clause] = set()
+    for p, producers in enumerate(net._pre_transitions):
+        head = (-(p + 1),)
+        for t in sorted(producers):
+            if p not in inputs[t]:
+                clause = head + sorted_inputs[t]
+                if clause not in seen:
+                    seen.add(clause)
+                    clauses.append(clause)
+    clauses.append(tuple(range(1, n + 1)))
     formula = CnfFormula(n)
-    for p in range(n):
-        for t in sorted(net.pre_transitions(p)):
-            formula.add_clause((-(p + 1), *(q + 1 for q in sorted(net.pre_places(t)))))
-    formula.add_clause(range(1, n + 1))
-    return formula, varmap
+    formula.clauses = clauses
+    return formula, VarMap(net.places)
 
 
 def blocking_clause(s: PlaceSet, varmap: VarMap) -> Clause:

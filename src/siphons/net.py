@@ -5,6 +5,8 @@ from collections.abc import Iterable, Mapping, Sequence
 Marking = tuple[int, ...]
 PlaceSet = frozenset[int]
 
+_INT = frozenset({int})  # the one element type `PetriNet._check_set` passes in C
+
 
 class NotEnabledError(ValueError):
     """Raised when firing a transition whose input places lack tokens."""
@@ -136,6 +138,12 @@ class PetriNet:
         return t
 
     def _check_set(self, s: Iterable[int]) -> PlaceSet:
+        if type(s) is not frozenset:
+            s = tuple(s)  # each element is checked as given, before deduplication
+        # When every element is a plain int, one pass each in C decides; any
+        # other set gets the per-place rule, which names the first bad element.
+        if s and _INT.issuperset(map(type, s)) and min(s) >= 0 and max(s) < len(self.places):
+            return frozenset(s)
         return frozenset(self._check_place(p) for p in s)
 
     # -- structure queries -----------------------------------------------
@@ -184,12 +192,23 @@ class PetriNet:
         return pre < post
 
     def dual(self) -> "PetriNet":
-        """The net with every arc reversed; traps here are siphons there."""
-        return PetriNet(
-            self.places, self.transitions,
-            weight_pt={(p, t): w for (t, p), w in self.weight_tp.items()},
-            weight_tp={(t, p): w for (p, t), w in self.weight_pt.items()},
-        )
+        """The net with every arc reversed; traps here are siphons there.
+
+        The arcs are checked already, so the dual swaps them and the
+        adjacency tuples rather than checking them again in `__init__`.
+        """
+        dual = PetriNet.__new__(PetriNet)
+        dual.places = self.places
+        dual.transitions = self.transitions
+        dual.weight_pt = {(p, t): w for (t, p), w in self.weight_tp.items()}
+        dual.weight_tp = {(t, p): w for (p, t), w in self.weight_pt.items()}
+        dual._pre_transitions = self._post_transitions
+        dual._post_transitions = self._pre_transitions
+        dual._pre_places = self._post_places
+        dual._post_places = self._pre_places
+        dual._place_index = self._place_index
+        dual._transition_index = self._transition_index
+        return dual
 
     # -- token game --------------------------------------------------------
 

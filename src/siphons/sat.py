@@ -49,7 +49,10 @@ class SatSolver(Propagator):
     The clause store, propagation, levels, reasons and branching cursor are
     the shared `Propagator`; this class adds learning, assumptions and
     `solve`. Like `assign`, the conflict-analysis mark of a variable is
-    indexed by its true literal.
+    indexed by its true literal. The formula's clauses are checked already,
+    so they are attached as they are, reordered highest variable first,
+    through the same path as `Propagator`'s; only unit clauses and the
+    clauses after one go through the root-level checks.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -60,8 +63,8 @@ class SatSolver(Propagator):
         self.conflicts = 0
         self.decisions = 0
         # Input clauses go in highest variable first (see the module docstring).
-        for clause in formula.clauses:
-            self._add_root_clause(sorted(clause, key=abs, reverse=True))
+        self._add_input_clauses(sorted(clause, key=abs, reverse=True)
+                                for clause in formula.clauses)
 
     # -- conflict analysis ----------------------------------------------------
 

@@ -28,7 +28,7 @@ class Budget:
     def __post_init__(self):
         if self.max_conflicts is not None and self.max_conflicts < 0:
             raise ValueError("max_conflicts must be >= 0")
-        if self.max_ms is not None and self.max_ms < 0:
+        if self.max_ms is not None and not self.max_ms >= 0:  # NaN too
             raise ValueError("max_ms must be >= 0")
 
 
@@ -160,13 +160,7 @@ class Propagator:
         self.conflicting = False             # a root-level clause is falsified
         self.conflict: int | None = None     # the clause the last `decide` falsified
         self.propagations = 0
-        for clause in formula.clauses:
-            # A CnfFormula's clauses are checked, duplicate- and tautology-free,
-            # so until a unit clause assigns something they go in as they are.
-            if len(clause) > 1 and not self.trail:
-                self._attach(list(clause))
-            else:
-                self._add_root_clause(clause)
+        self._add_input_clauses(map(list, formula.clauses))
 
     # -- assignment bookkeeping -------------------------------------------
 
@@ -257,6 +251,20 @@ class Propagator:
                 return True
         self._cancel_until(0)
         return self._add_root_clause(literals)
+
+    def _add_input_clauses(self, clauses) -> None:
+        """Store a CnfFormula's clauses, each a fresh list.
+
+        They are checked, duplicate- and tautology-free, so until a unit
+        clause assigns something they are attached as they are; from then
+        on each goes through the root-level path.
+        """
+        trail = self.trail
+        for clause in clauses:
+            if len(clause) > 1 and not trail:
+                self._attach(clause)
+            else:
+                self._add_root_clause(clause)
 
     def _add_root_clause(self, literals) -> bool:
         if self.conflicting:

@@ -60,6 +60,31 @@ def random_net_corpus(count: int, base_seed: int = 0, max_places: int = 12,
     return nets
 
 
+def irregular_net(rng: random.Random, max_places: int = 12) -> PetriNet:
+    """A random net of 1..max_places places with the shapes the encoding
+    treats specially: self-loops, zero-weight arcs (no arc), transitions
+    without inputs, and transitions that repeat an earlier one's arcs."""
+    n_places = rng.randint(1, max_places)
+    n_transitions = rng.randint(0, max_places)
+    weight_pt: dict[tuple[int, int], int] = {}
+    weight_tp: dict[tuple[int, int], int] = {}
+    for t in range(n_transitions):
+        if t and rng.random() < 0.2:
+            u = rng.randrange(t)
+            weight_pt.update({(p, t): w for (p, v), w in weight_pt.items() if v == u})
+            weight_tp.update({(t, p): w for (v, p), w in weight_tp.items() if v == u})
+            continue
+        for p in rng.sample(range(n_places), rng.randint(0, min(3, n_places))):
+            weight_pt[(p, t)] = rng.choice((0, 1, 1, 2))
+        for p in rng.sample(range(n_places), rng.randint(0, min(3, n_places))):
+            weight_tp[(t, p)] = rng.choice((0, 1, 1, 2))
+        if rng.random() < 0.2:
+            p = rng.randrange(n_places)
+            weight_pt[(p, t)] = weight_tp[(t, p)] = 1
+    return PetriNet([f"p{i}" for i in range(n_places)],
+                    [f"t{j}" for j in range(n_transitions)], weight_pt, weight_tp)
+
+
 @pytest.fixture
 def enzyme() -> PetriNet:
     return enzyme_net()

@@ -156,6 +156,13 @@ def test_exit_codes(models_dir, tmp_path):
     for alpha in ("inf", "nan"):  # not a clause/variable ratio
         code, _, err = run(["sweep", "--alpha", alpha, "--trials", "1"])
         assert code == 1 and err.splitlines() == [f"error: bad alpha list {alpha!r}"]
+    for timeout in ("nan", "inf"):  # NaN would mean no budget at all
+        for argv in (["analyze", str(models_dir / "enzyme.rxn")],
+                     ["sweep", "--alpha", "1", "--vars", "3", "--trials", "1"],
+                     ["stats", str(models_dir)]):
+            code, out, err = run(argv + [f"--timeout={timeout}"])
+            assert (code, out) == (1, "") and err.splitlines() == [
+                f"error: bad timeout {float(timeout)!r}"]
 
 
 def test_parser_is_built_once_and_reused(models_dir):

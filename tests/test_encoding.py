@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from siphons import (CnfFormula, PetriNet, blocking_clause, encode_siphon, evaluate,
                      export_dimacs, parse_dimacs)
 
-from conftest import enzyme_net, random_net_corpus
+from conftest import enzyme_net, irregular_net, random_net_corpus
 
 ENZYME_CLAUSES = {(-2, 3), (-3, 1, 2), (-1, 3), (-4, 3), (1, 2, 3, 4)}
 
@@ -121,3 +122,49 @@ def test_encoding_soundness_random_nets(seed):
     for bits in product((False, True), repeat=len(net.places)):
         s = frozenset(i for i, x in enumerate(bits) if x)
         assert evaluate(formula, bits) == (bool(s) and net.is_siphon(s))
+
+
+def checked_encoding(net):
+    """encode_siphon's clauses, each one through the checked `add_clause`."""
+    n = len(net.places)
+    formula = CnfFormula(n)
+    for p in range(n):
+        for t in sorted(net.pre_transitions(p)):
+            formula.add_clause((-(p + 1), *(q + 1 for q in sorted(net.pre_places(t)))))
+    formula.add_clause(range(1, n + 1))
+    return formula
+
+
+def test_encoding_equals_the_checked_build_on_irregular_nets():
+    rng = random.Random(11)
+    shapes = {"self-loop": 0, "no inputs": 0, "repeated producer": 0}
+    for _ in range(400):
+        net = irregular_net(rng)
+        formula, varmap = encode_siphon(net)
+        assert formula.num_vars == len(net.places) == varmap.num_vars
+        assert formula.clauses == checked_encoding(net).clauses
+        inputs = [net.pre_places(t) for t in range(len(net.transitions))]
+        shapes["self-loop"] += any(p in inputs[t] for p in range(len(net.places))
+                                   for t in net.pre_transitions(p))
+        shapes["no inputs"] += any(not inputs[t] and net.post_places(t)
+                                   for t in range(len(net.transitions)))
+        shapes["repeated producer"] += any(
+            len({inputs[t] for t in net.pre_transitions(p)}) < len(net.pre_transitions(p))
+            for p in range(len(net.places)))
+    assert min(shapes.values()) > 40, shapes
+
+
+def test_add_clause_rejects_an_encoded_clause_in_any_order():
+    rng = random.Random(12)
+    for _ in range(200):
+        formula, _ = encode_siphon(irregular_net(rng))
+        encoded = list(formula.clauses)
+        for clause in encoded:
+            literals = list(clause)
+            rng.shuffle(literals)
+            assert not formula.add_clause(literals)
+        assert formula.clauses == encoded
+        fresh = [-1, formula.num_vars] if formula.num_vars > 1 else None
+        if fresh is not None and formula.add_clause(fresh):
+            assert not formula.add_clause(reversed(fresh))
+            assert formula.clauses == encoded + [tuple(fresh)]

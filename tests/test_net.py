@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from siphons import NotEnabledError, PetriNet, format_place_set, gen_chain, isomorphic
 
-from conftest import enzyme_net, example2_net, potato_net, random_net_corpus
+from conftest import enzyme_net, example2_net, irregular_net, potato_net, random_net_corpus
 
 
 def place_names(net, trans_set):
@@ -206,3 +208,62 @@ def test_trap_equals_siphon_of_dual(seed):
         s = frozenset(i for i in range(len(net.places)) if mask >> i & 1)
         assert net.is_trap(s) == dual.is_siphon(s)
         assert net.is_siphon(s) == dual.is_trap(s)
+
+
+def reversed_net(net):
+    """The dual as the constructor builds it, checking every arc again."""
+    return PetriNet(net.places, net.transitions,
+                    weight_pt={(p, t): w for (t, p), w in net.weight_tp.items()},
+                    weight_tp={(t, p): w for (p, t), w in net.weight_pt.items()})
+
+
+def test_dual_equals_the_constructor_built_reversed_net():
+    rng = random.Random(31)
+    for _ in range(300):
+        net = irregular_net(rng)
+        dual, expected = net.dual(), reversed_net(net)
+        assert type(dual) is PetriNet and dual == expected
+        assert list(dual.weight_pt.items()) == list(expected.weight_pt.items())
+        assert list(dual.weight_tp.items()) == list(expected.weight_tp.items())
+        for p, name in enumerate(net.places):
+            assert dual.place_index(name) == p
+            assert dual.pre_transitions(p) == expected.pre_transitions(p)
+            assert dual.post_transitions(p) == expected.post_transitions(p)
+        for t, name in enumerate(net.transitions):
+            assert dual.transition_index(name) == t
+            assert dual.pre_places(t) == expected.pre_places(t)
+            assert dual.post_places(t) == expected.post_places(t)
+        s = frozenset(p for p in range(len(net.places)) if rng.random() < 0.5)
+        assert dual.is_siphon(s) == expected.is_siphon(s) == net.is_trap(s)
+        assert dual.is_proper_siphon(s) == expected.is_proper_siphon(s)
+        assert dual.dual() == net
+
+
+class Index(int):
+    """An int subclass, which the per-place rule accepts."""
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [], lambda: set(), lambda: frozenset(), lambda: iter(()),
+    lambda: [0, 1, 2], lambda: (2, 0, 2), lambda: {1}, lambda: frozenset({0, 2}),
+    lambda: range(3), lambda: iter([1, 2]), lambda: (p for p in (0, 1)),
+    lambda: [True], lambda: [False], lambda: {True}, lambda: [1, True], lambda: [True, 1],
+    lambda: [1.0], lambda: [0, 1.0], lambda: {1.0}, lambda: [1, 1.0],
+    lambda: [Index(1)], lambda: [0, Index(2)], lambda: {Index(2)},
+    lambda: [-1], lambda: [0, -1], lambda: {-1, 2},
+    lambda: [3], lambda: [0, 3], lambda: {3}, lambda: [10 ** 20],
+    lambda: [[0]], lambda: [0, [1]], lambda: [{}], lambda: [0, {1: 2}],
+    lambda: ["0"], lambda: [None], lambda: [0, None],
+], ids=lambda make: repr(list(make())))
+def test_check_set_matches_the_per_place_rule(make):
+    net = PetriNet(["a", "b", "c"], ["t"], {(0, 0): 1}, {(0, 1): 1})
+
+    def outcome(check):
+        try:
+            s = check(make())
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        return s, sorted(map(type, s), key=repr)
+
+    per_place = lambda s: frozenset(net._check_place(p) for p in s)  # noqa: E731
+    assert outcome(net._check_set) == outcome(per_place)

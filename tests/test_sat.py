@@ -7,6 +7,8 @@ from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, blocking_clause
                      enumerate_minimal_bb, enumerate_minimal_sat, evaluate, gen_3sat_reduction,
                      gen_chain, gen_random_3sat, gen_random_net)
 
+from siphons.search import Propagator
+
 from conftest import enzyme_net, example2_net, random_net_corpus
 
 
@@ -374,3 +376,35 @@ def test_conflict_budget_cuts_a_prefix_of_the_full_run():
                 assert res.stats.timed_out
                 cut += 1
     assert cut > 0
+
+
+def root_built_store(cls, formula, order):
+    """A solver or propagator whose clauses all went through `_add_root_clause`."""
+    built = cls(CnfFormula(formula.num_vars))
+    for clause in formula.clauses:
+        built._add_root_clause(order(clause))
+    return built
+
+
+def test_input_clauses_are_stored_as_the_root_clause_path_stores_them():
+    # unit clauses may come anywhere: before the first long clause, between
+    # long clauses, contradicting each other, or none at all
+    rng = random.Random(21)
+    units_seen = conflicts_seen = 0
+    for _ in range(300):
+        num_vars = rng.randint(1, 8)
+        formula = CnfFormula(num_vars)
+        for _ in range(rng.randint(0, 14)):
+            width = 1 if num_vars == 1 or rng.random() < 0.15 else rng.randint(2, min(4, num_vars))
+            vs = rng.sample(range(1, num_vars + 1), width)
+            formula.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+        for cls, order in ((SatSolver, lambda c: sorted(c, key=abs, reverse=True)),
+                           (Propagator, list)):
+            direct = cls(formula)
+            built = root_built_store(cls, formula, order)
+            for name in ("clauses", "spans", "watches", "trail", "assign", "level",
+                         "reason", "conflicting"):
+                assert getattr(direct, name) == getattr(built, name), name
+        units_seen += any(len(c) == 1 for c in formula.clauses)
+        conflicts_seen += direct.conflicting
+    assert units_seen > 50 and conflicts_seen > 5

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from siphons import EnumerationResult, PetriNet
-from siphons.search import accept
+from siphons.search import Budget, accept
 
 
 def open_net() -> PetriNet:
@@ -70,3 +70,11 @@ def test_accept_agrees_with_the_pairwise_scan():
             else:
                 accept(net, result, s)
                 assert result.sets[-1] == s
+
+
+@pytest.mark.parametrize("max_ms", [-1.0, float("nan")])
+def test_budget_rejects_a_negative_or_nan_time(max_ms):
+    # NaN compares false with everything, so a NaN deadline would never pass
+    with pytest.raises(ValueError):
+        Budget(max_ms=max_ms)
+    assert Budget(max_ms=0.0).max_ms == 0.0
