@@ -21,7 +21,14 @@ def canonical_order(net: PetriNet, sets: Iterable[PlaceSet]) -> list[PlaceSet]:
 
 def enumerate_minimal_siphons(net: PetriNet, engine: str = "sat",
                               budget: Budget | None = None, trace=None) -> EnumerationResult:
-    """All minimal siphons, through the chosen engine."""
+    """All minimal siphons, through the chosen engine.
+
+    The sat and bb engines return the same list: the sets in increasing
+    lexicographic order of their characteristic vectors, with place 0 (CNF
+    variable 1) most significant and absent before present, so in
+    decreasing order of their least place. A run cut by its budget returns a
+    prefix of that list. The oracle returns `canonical_order`.
+    """
     if trace is not None and engine != "bb":
         raise ValueError("search traces are only produced by the bb engine")
     if engine == "sat":

@@ -25,7 +25,7 @@ are the blocking clauses.
 from .encoding import blocking_clause, encode_siphon
 from .net import PetriNet, format_place_set
 from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchStats,
-                     accept)
+                     accept, merge_one_place_siphons)
 
 
 class _Dependencies:
@@ -136,17 +136,26 @@ class _Dependencies:
 
 
 def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
+    """The minimal siphons in output order: the search's solutions with the
+    one-place siphons merged in (`merge_one_place_siphons`)."""
+    formula, varmap = encode_siphon(net)
+    prop = Propagator(formula)
+    clock = BudgetClock(budget)
+    search = _search(prop, varmap, clock, stats, emit)
+    return merge_one_place_siphons(prop, formula, search, clock, stats)
+
+
+def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, emit):
     """Yield the place set of each solution of the 0-first search, in order.
 
     A conflict backjumps to the deepest decision it depends on (see the
     module docstring). After a solution the search resumes at its
     non-superset clause's assertion level and replays only the decisions
     above it. Counters go into `stats`; the search ends when a conflict
-    depends on no decision or when the budget runs out.
+    depends on no decision or when the budget runs out. A store that is
+    already UNSAT at the root ends it with no conflict counted, as in the
+    SAT engine.
     """
-    formula, varmap = encode_siphon(net)
-    prop = Propagator(formula)
-    clock = BudgetClock(budget)
     # One entry per decision level: (var, value, failure). A 0-branch still
     # has its 1-branch pending; a 1-branch carries the failure of its
     # 0-branch (see _Dependencies).
@@ -167,8 +176,9 @@ def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
         return stats.timed_out
 
     stats.solve_calls = 1
-    consistent = not prop.conflicting
-    out_of_budget()
+    consistent = True
+    if out_of_budget() or prop.conflicting:
+        return
     while not stats.timed_out:
         if not consistent:
             stats.conflicts += 1
@@ -247,7 +257,6 @@ def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
             consistent = decide(prop._pick_branch(), False)
         if stats.decisions % 256 == 0:
             out_of_budget()
-    stats.elapsed_ms = clock.elapsed_ms
 
 
 def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
@@ -258,7 +267,10 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     <depth>` for decisions, `B <depth>` for each level a backjump pops (the
     depth left), `S {places}` for solutions. No `B` lines follow an `S`
     line: the depth of the next `D` line gives the level the search resumed
-    at, one above the blocking clause's assertion level.
+    at, one above the blocking clause's assertion level. A one-place set is
+    not searched for, so its `S` line has no `D` lines of its own: it comes
+    just before the `S` line of the first searched set with a lower least
+    place, or after the search ends.
     """
     if trace is None or callable(trace):
         emit = trace

@@ -15,11 +15,18 @@ variables that the 0-first descent reaches last instead of chasing the
 assignment frontier.
 
 Enumeration solves, posts a clause that excludes the found set and all its
-supersets, and repeats until UNSAT or the budget runs out. With no restarts
-and this branching rule, each solve returns the lexicographically least
-model of the clause store (False below True), which is inclusion-minimal
-among the models left; blocking clauses remove only supersets of sets
-already found, so every model is a new minimal siphon. The model falsifies
+supersets, and repeats until UNSAT or the budget runs out. Each solve
+returns the lexicographically least model of the clause store (False below
+True). Only the branching rule matters for that, the lowest-index variable
+and the 0-first phase, with sound propagation: if the model found first
+differed from the least one, at the first variable where they differ it
+would be 1 by implication from 0-decisions and clauses that the least
+model shares, so the least model would be 1 there too. The least model is
+inclusion-minimal among the models left; blocking clauses remove only
+supersets of sets already found, so every model is a new minimal siphon.
+The one-place minimal siphons are posted as units before the first solve
+and merged into the output without search
+(`search.merge_one_place_siphons`). The model falsifies
 its blocking clause, so `Propagator.add_clause` takes it like a learned
 one, by decreasing level: the search backjumps to the clause's assertion
 level and the next solve resumes there rather than re-descending from the
@@ -34,7 +41,8 @@ from enum import Enum
 
 from .encoding import Assignment, CnfFormula, blocking_clause, encode_siphon
 from .net import PetriNet
-from .search import Budget, BudgetClock, EnumerationResult, Propagator, SearchStats, accept
+from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchStats, accept,
+                     merge_one_place_siphons)
 
 
 class SolveStatus(Enum):
@@ -206,15 +214,25 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
     """All minimal siphons by iterated SAT with non-superset blocking clauses.
 
     Each model is the least one left, so it is a minimal siphon as found
-    (see the module docstring); `accept` still certifies it. On budget
-    exhaustion the result is returned as found so far, flagged timed out.
+    (see the module docstring); the one-place minimal siphons are merged in
+    without search (`merge_one_place_siphons`), and `accept` certifies every
+    set. On budget exhaustion the result is returned as found so far,
+    flagged timed out.
     """
     formula, varmap = encode_siphon(net)
     solver = SatSolver(formula)
     clock = BudgetClock(budget)
     stats = SearchStats()
     result = EnumerationResult(stats=stats)
+    search = _models(solver, varmap, clock, stats)
+    for found in merge_one_place_siphons(solver, formula, search, clock, stats):
+        accept(net, result, found)
+    return result
 
+
+def _models(solver: SatSolver, varmap, clock: BudgetClock, stats: SearchStats):
+    """Solve, yield the model's place set, block it and its supersets, and
+    repeat until UNSAT or the budget runs out; counters go into `stats`."""
     while True:
         if clock.exhausted():
             stats.timed_out = True
@@ -232,10 +250,8 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
         if status is SolveStatus.UNSAT:
             break
         found = varmap.true_places(solver.model)
-        accept(net, result, found)
+        yield found
         solver.add_clause(blocking_clause(found, varmap))
 
     stats.conflicts = solver.conflicts
     stats.decisions = solver.decisions
-    stats.elapsed_ms = clock.elapsed_ms
-    return result

@@ -7,15 +7,18 @@ falsified clause for backjumping, and the SAT solver subclasses it with
 conflict learning. Both post each blocking clause through `add_clause`,
 which resumes the search at the clause's assertion level. Truth values,
 levels and reasons are indexed by literal, as in MiniSat, so reading one
-takes no sign arithmetic. Also here: budgets, stats, results, and the
-per-set acceptance step.
+takes no sign arithmetic. Also here: budgets, stats, results, the
+per-set acceptance step, and the one-place minimal siphons, which both
+engines read off the encoding and merge into their output without search.
 """
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .encoding import CnfFormula
-from .net import PetriNet
+from .net import PetriNet, PlaceSet
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,13 @@ class SearchStats:
 
     Both engines resume after each set at its blocking clause's assertion
     level, so `decisions` counts only the decisions made after each resume,
-    and `solve_calls` is one per set plus the first descent. The SAT engine
-    counts solver invocations, conflicts and decisions. The branch-and-bound
-    engine reports decision nodes in `decisions`, including the path
-    decisions it re-makes above the assertion level, and falsified clauses
-    in `conflicts` (one per failure, however many levels its backjump pops).
+    and `solve_calls` is one per searched set plus the first descent. A
+    one-place set is not searched for (see `merge_one_place_siphons`), so it
+    adds to no counter. The SAT engine counts solver invocations, conflicts
+    and decisions. The branch-and-bound engine reports decision nodes in
+    `decisions`, including the path decisions it re-makes above the
+    assertion level, and falsified clauses in `conflicts` (one per failure,
+    however many levels its backjump pops).
     """
 
     solve_calls: int = 0
@@ -252,6 +257,21 @@ class Propagator:
         self._cancel_until(0)
         return self._add_root_clause(literals)
 
+    def _add_root_units(self, literals) -> None:
+        """Assert unit clauses before the first decision and propagate them
+        all at once. The literals are not checked: the caller builds them
+        from the formula's variable range."""
+        if self.conflicting:
+            return
+        assign = self.assign
+        for lit in literals:
+            if assign[lit] < 0:
+                self.conflicting = True
+                return
+            if assign[lit] == 0:
+                self._enqueue(lit, None)
+        self.conflicting = self._propagate() is not None
+
     def _add_input_clauses(self, clauses) -> None:
         """Store a CnfFormula's clauses, each a fresh list.
 
@@ -398,3 +418,44 @@ class Propagator:
 
     def backtrack_all(self) -> None:
         self._cancel_until(0)
+
+
+def merge_one_place_siphons(store: Propagator, formula: CnfFormula, found: Iterator[PlaceSet],
+                            clock: BudgetClock, stats: SearchStats) -> Iterator[PlaceSet]:
+    """The sets of an engine's search, with the one-place minimal siphons
+    merged in at their places in the output order. When the stream ends,
+    `stats.elapsed_ms` is the run's time on `clock`.
+
+    A place p whose producers all consume p, or that has none, is the
+    minimal siphon {p}, and no other minimal siphon contains p. In
+    `encode_siphon`'s formula it is a variable that no clause negates: a
+    clause negates only its first literal, so these are read off the clause
+    heads in one pass. The units -p go into `store` together, at the root,
+    before `found`, a search over that store, starts; so the search finds
+    the other minimal siphons and never branches on such a p.
+
+    Both engines emit sets in increasing lexicographic order of their
+    characteristic vectors (variable 1 most significant, 0 before 1), that
+    is, in decreasing order of their least place. {p} comes before a set S
+    exactly when p > min(S), so the pending {p} with p > min(S) go out
+    before S, in decreasing p, and the rest after the search ends. A search
+    cut by its budget (`stats.timed_out`) drops the rest, so a cut run is a
+    prefix of the full one.
+    """
+    n = formula.num_vars
+    heads = set(map(itemgetter(0), formula.clauses))
+    # Heads -n..-1 and the non-emptiness clause's 1: no one-place siphon.
+    units = [lit for lit in range(-n, 0) if lit not in heads] if len(heads) <= n else []
+    store._add_root_units(units)
+    places = [-lit - 1 for lit in units]  # decreasing
+    i = 0
+    for s in found:
+        least = min(s)
+        while i < len(places) and places[i] > least:
+            yield frozenset((places[i],))
+            i += 1
+        yield s
+    if not stats.timed_out:
+        for p in places[i:]:
+            yield frozenset((p,))
+    stats.elapsed_ms = clock.elapsed_ms

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from siphons import PetriNet, gen_random_net
+from siphons import PetriNet, gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -58,6 +58,33 @@ def random_net_corpus(count: int, base_seed: int = 0, max_places: int = 12,
         nets.append(gen_random_net(n_places, n_transitions, degree,
                                    seed=base_seed + k))
     return nets
+
+
+def least_model_corpus():
+    """Siphon and trap instances of a chain, 3-SAT reductions at n=20 and
+    random nets of 10-30 places, drawn from a fixed seed."""
+    rng = random.Random(11)
+    nets = [gen_chain(8)]
+    nets += [gen_3sat_reduction(gen_random_3sat(20, round(alpha * 20), rng.randrange(2 ** 31)))
+             for alpha in (0.0, 3.0, 4.26, 6.0) for _ in range(2)]
+    for _ in range(30):
+        places = rng.randint(10, 30)
+        nets.append(gen_random_net(places, rng.randint(places // 3, places), rng.randint(2, 4),
+                                   seed=rng.randrange(2 ** 31)))
+    return [n for net in nets for n in (net, net.dual())]
+
+
+def least_model_order(net, sets):
+    """Sets in the order of the 0-first search: by membership vector in place
+    order, absent before present."""
+    return sorted(sets, key=lambda s: [p in s for p in range(len(net.places))])
+
+
+def singleton_heavy_nets() -> list[PetriNet]:
+    """Random nets whose minimal siphons and traps nearly all have one place:
+    a place whose producers all consume it. At 2,000 places every minimal
+    siphon has one place; at 500, a few traps have more."""
+    return [gen_random_net(2000, 666, 3, seed=1), gen_random_net(500, 166, 3, seed=1)]
 
 
 def irregular_net(rng: random.Random, max_places: int = 12) -> PetriNet:

@@ -10,7 +10,7 @@ from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus,
                      gen_random_3sat, gen_random_net)
 from siphons.branch_bound import _Dependencies
 
-from conftest import enzyme_net, example2_net, random_net_corpus
+from conftest import enzyme_net, example2_net, least_model_order, random_net_corpus
 
 
 def test_propagate_enzyme_goldens(enzyme):
@@ -297,12 +297,6 @@ def test_bb_budget_partial_results_are_siphons():
         assert net.is_siphon(s)
 
 
-def least_model_order(net, sets):
-    """Sets in the order of the 0-first search: by membership vector in place
-    order, absent before present."""
-    return sorted(sets, key=lambda s: [p in s for p in range(len(net.places))])
-
-
 @pytest.mark.parametrize("target", ["siphons", "traps"])
 def test_bb_matches_the_oracle_in_least_model_order(target):
     # Backjumping skips only subtrees without a model, so each set is still
@@ -329,11 +323,11 @@ def test_bb_backjumps_past_decisions_a_conflict_does_not_depend_on():
 
 
 def test_bb_replay_stops_at_a_decision_the_new_clause_implies(monkeypatch):
-    # With seed 5, some blocking clause forces a variable of the replayed
+    # With seed 38, some blocking clause forces a variable of the replayed
     # path to the value the path had decided for it. The replay stops there
     # and the search goes on from that level, so no later level shifts down
-    # under the levels recorded for backjumping.
-    net = random_net_corpus(1, base_seed=5)[0]
+    # under the levels recorded for backjumping. Seed 5 did so too while its
+    # one-place siphons were still searched for.
     events = []
     value = Propagator.value
 
@@ -343,23 +337,28 @@ def test_bb_replay_stops_at_a_decision_the_new_clause_implies(monkeypatch):
         return known
 
     monkeypatch.setattr(Propagator, "value", spy)
-    res = enumerate_minimal_bb(net, trace=events.append)
-    stack, path, implied = [], [], 0
-    for event in events:
-        if isinstance(event, tuple):  # the replay asks for a path variable
-            implied += event in path
-        elif event.startswith("D "):
-            assignment, depth = event[2:].split()
-            var, bit = assignment.split("=")
-            del stack[int(depth) - 1:]
-            stack.append((int(var), bit == "1"))
-        elif event.startswith("B "):
-            del stack[int(event[2:]):]
-        else:  # a solution: the search unwinds and replays this path
-            path = list(stack)
-            stack.clear()
+    implied = 0
+    for seed in (5, 38):
+        net = random_net_corpus(1, base_seed=seed)[0]
+        events.clear()
+        res = enumerate_minimal_bb(net, trace=events.append)
+        stack, path = [], []
+        for event in events:
+            if isinstance(event, tuple):  # the replay asks for a path variable
+                implied += event in path
+            elif event.startswith("D "):
+                assignment, depth = event[2:].split()
+                var, bit = assignment.split("=")
+                del stack[int(depth) - 1:]
+                stack.append((int(var), bit == "1"))
+            elif event.startswith("B "):
+                del stack[int(event[2:]):]
+            elif "," in event:  # a searched set: the search unwinds and replays this path
+                path = list(stack)
+                stack.clear()
+            # else `S {p}`: a one-place set, found without search
+        assert res.sets == least_model_order(net, brute_force_minimal_siphons(net))
     assert implied >= 1
-    assert res.sets == least_model_order(net, brute_force_minimal_siphons(net))
 
 
 def forces_conflict(prop, decisions):
@@ -387,7 +386,8 @@ def test_bb_traced_levels_force_the_failure(monkeypatch):
     # that it is said to depend on, plus its own decision, must force it.
     # The three seeded nets post a blocking clause that changes the replayed
     # trail at a level whose masks were filled in before the solution, so
-    # stale masks would show.
+    # stale masks would show. The chain's dual makes up the failures that the
+    # random nets' one-place siphons no longer cost once they are not searched.
     checks = []
     below = _Dependencies.below
 
@@ -404,7 +404,7 @@ def test_bb_traced_levels_force_the_failure(monkeypatch):
     monkeypatch.setattr(_Dependencies, "below", checked)
     nets = [gen_random_net(16, 8, 3, 0), gen_random_net(20, 10, 3, 172).dual(),
             random_net_corpus(1, base_seed=288)[0],
-            gen_chain(6), gen_3sat_reduction(gen_random_3sat(6, 26, 0))]
+            gen_chain(6), gen_chain(6).dual(), gen_3sat_reduction(gen_random_3sat(6, 26, 0))]
     for seed in range(40):
         net = random_net_corpus(1, base_seed=seed)[0]
         nets += [net, net.dual()]

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from siphons import EnumerationResult, PetriNet
+from siphons import (EnumerationResult, PetriNet, SearchStats, brute_force_minimal_siphons,
+                     enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check)
+from siphons.branch_bound import _solutions
 from siphons.search import Budget, accept
+
+from conftest import least_model_corpus, least_model_order, random_net_corpus, singleton_heavy_nets
 
 
 def open_net() -> PetriNet:
@@ -78,3 +82,82 @@ def test_budget_rejects_a_negative_or_nan_time(max_ms):
     with pytest.raises(ValueError):
         Budget(max_ms=max_ms)
     assert Budget(max_ms=0.0).max_ms == 0.0
+
+
+# -- output order and the one-place minimal siphons --------------------------
+
+ENGINES = (enumerate_minimal_sat, enumerate_minimal_bb)
+
+
+@pytest.mark.parametrize("enumerate_", ENGINES)
+def test_sets_come_in_increasing_lex_order_of_their_characteristic_vectors(enumerate_):
+    # The contract of `enumerate_minimal_siphons`: variable 1 (place 0) most
+    # significant, 0 before 1. It places the one-place sets, which are merged
+    # in without search, among the searched ones. Runs cut by the budget must
+    # be in order as far as they go.
+    budget = Budget(max_conflicts=5000)
+    nets = least_model_corpus() + [n for net in singleton_heavy_nets() for n in (net, net.dual())]
+    complete = 0
+    for net in nets:
+        res = enumerate_(net, budget=budget)
+        assert res.sets == least_model_order(net, res.sets)
+        complete += res.complete
+    assert complete >= 0.9 * len(nets)
+
+
+def test_one_place_siphons_cost_no_search():
+    # Nearly every minimal siphon and trap of these nets has one place. Their
+    # units leave almost nothing to search, and the counters are
+    # deterministic, so the decision bound holds on any machine.
+    for net in singleton_heavy_nets():
+        for instance in (net, net.dual()):
+            sat, bb = enumerate_minimal_sat(instance), enumerate_minimal_bb(instance)
+            assert sat.complete and bb.complete
+            assert sat.sets == bb.sets
+            assert sum(len(s) == 1 for s in sat.sets) >= 0.98 * len(sat.sets)
+            assert sat.stats.decisions <= 20 and bb.stats.decisions <= 20
+
+
+def test_no_conflict_is_counted_when_the_root_is_unsat():
+    # "t" feeds A from nothing, so the net has no siphon and its encoding is
+    # UNSAT at the root. When every minimal siphon has one place, their
+    # units make the store UNSAT at the root too: the places left form no
+    # siphon, so propagation falsifies every place.
+    nets = [PetriNet.from_transitions([("t", [], ["A"])]), singleton_heavy_nets()[0]]
+    nets += [net for net in random_net_corpus(60)
+             if all(len(s) == 1 for s in brute_force_minimal_siphons(net))]
+    assert len(nets) >= 10
+    for net in nets:
+        sat, bb = enumerate_minimal_sat(net), enumerate_minimal_bb(net)
+        assert sat.sets == bb.sets
+        assert all(len(s) == 1 for s in sat.sets)
+        assert sat.stats.conflicts == bb.stats.conflicts == 0
+        assert sat.stats.decisions == bb.stats.decisions == 0
+        assert sat.stats.solve_calls == bb.stats.solve_calls == 1
+
+
+@pytest.mark.parametrize("enumerate_", ENGINES)
+def test_a_cut_run_drops_the_pending_one_place_sets(enumerate_):
+    # The 500-place net's dual has one trap of two places among 255 of one
+    # place; a budget that stops the search around it leaves the one-place
+    # sets after it unemitted, and what was emitted is a prefix.
+    net = singleton_heavy_nets()[1].dual()
+    full = enumerate_(net).sets
+    dropped = 0
+    for k in (1, 2):
+        res = enumerate_(net, budget=Budget(max_conflicts=k))
+        assert res.sets == full[:len(res.sets)]
+        if len(res.sets) < len(full):
+            assert res.stats.timed_out
+            dropped += len(full[len(res.sets)]) == 1
+    assert dropped
+
+
+def test_first_solution_is_the_merged_first_set():
+    # C has no producer, so {C} is a minimal siphon found without search. Its
+    # least place is above that of the searched {A, B}, so it comes first.
+    net = PetriNet.from_transitions([("t1", ["A"], ["B"]), ("t2", ["B"], ["A"])],
+                                    places=["A", "B", "C"])
+    assert enumerate_minimal_bb(net).sets == [net.place_set("C"), net.place_set("A", "B")]
+    assert next(_solutions(net, SearchStats(), None, None)) == net.place_set("C")
+    assert first_solution_is_minimal_check(net)
