@@ -20,12 +20,15 @@ them, skipping the pending branches above it. Those branches share the
 failure, so only subtrees with no solution are skipped, and the solutions
 and their order do not change. No clause is learned: the only clauses added
 are the blocking clauses.
+
+The search is a generator under the shared driver, `search.enumerate_sets`.
+It asks the run's one `BudgetClock` after each solution and after each
+backjump, so it stops at `max_conflicts` as the SAT engine does.
 """
 
 from .encoding import blocking_clause, encode_siphon
-from .net import PetriNet, format_place_set
-from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchStats,
-                     accept, merge_one_place_siphons)
+from .net import PetriNet
+from .search import Budget, BudgetClock, EnumerationResult, Propagator, SearchStats, enumerate_sets
 
 
 class _Dependencies:
@@ -135,26 +138,17 @@ class _Dependencies:
             self.valid = upto
 
 
-def _solutions(net: PetriNet, stats: SearchStats, budget: Budget | None, emit):
-    """The minimal siphons in output order: the search's solutions with the
-    one-place siphons merged in (`merge_one_place_siphons`)."""
-    formula, varmap = encode_siphon(net)
-    prop = Propagator(formula)
-    clock = BudgetClock(budget)
-    search = _search(prop, varmap, clock, stats, emit)
-    return merge_one_place_siphons(prop, formula, search, clock, stats)
-
-
 def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, emit):
     """Yield the place set of each solution of the 0-first search, in order.
 
     A conflict backjumps to the deepest decision it depends on (see the
     module docstring). After a solution the search resumes at its
     non-superset clause's assertion level and replays only the decisions
-    above it. Counters go into `stats`; the search ends when a conflict
-    depends on no decision or when the budget runs out. A store that is
-    already UNSAT at the root ends it with no conflict counted, as in the
-    SAT engine.
+    above it. Solve calls and decisions go into `stats` and conflicts onto
+    `clock`. The search ends when a conflict depends on no decision, or,
+    flagged `stats.timed_out`, when `clock` is exhausted after a solution or
+    a backjump. A store that is already UNSAT at the root ends it with no
+    conflict counted, as in the SAT engine.
     """
     # One entry per decision level: (var, value, failure). A 0-branch still
     # has its 1-branch pending; a 1-branch carries the failure of its
@@ -169,19 +163,13 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
             emit(f"D {var}={1 if value else 0} {len(stack)}")
         return prop.decide(var, value)
 
-    def out_of_budget():
-        clock.conflicts = stats.conflicts
-        if clock.exhausted():
-            stats.timed_out = True
-        return stats.timed_out
-
     stats.solve_calls = 1
     consistent = True
-    if out_of_budget() or prop.conflicting:
+    if prop.conflicting:
         return
-    while not stats.timed_out:
+    while True:
         if not consistent:
-            stats.conflicts += 1
+            clock.conflicts += 1
             depth = len(stack)
             if not depth:
                 break  # a conflict at the root: nothing is left
@@ -225,6 +213,9 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
                             emit(f"B {len(stack)}")
                     break
                 failure = levels
+            if clock.exhausted():
+                stats.timed_out = True
+                break
             if deps.valid > depth:
                 deps.valid = depth
             consistent = decide(var, True, failure)
@@ -232,8 +223,11 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
             found = frozenset(varmap.place(v) for v in prop.true_vars())
             yield found
             stats.solve_calls += 1
-            if not prop.add_clause(blocking_clause(found, varmap)) or out_of_budget():
+            if not prop.add_clause(blocking_clause(found, varmap)):
                 break  # a root conflict ends the enumeration
+            if clock.exhausted():
+                stats.timed_out = True
+                break
             # The clause sent the search back to its assertion level and
             # asserted its top literal there; that level's masks are refilled
             # when next asked for, and the levels below are as they were. The
@@ -255,8 +249,6 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
                 consistent = decide(var, value, recorded)
         else:
             consistent = decide(prop._pick_branch(), False)
-        if stats.decisions % 256 == 0:
-            out_of_budget()
 
 
 def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
@@ -276,23 +268,22 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
         emit = trace
     else:  # file-like
         emit = lambda line: print(line, file=trace)
-    result = EnumerationResult()
-    for found in _solutions(net, result.stats, budget, emit):
-        accept(net, result, found)
-        if emit:
-            emit("S " + format_place_set(net, found))
-    return result
+    formula, varmap = encode_siphon(net)
+    prop = Propagator(formula)
+    return enumerate_sets(net, formula, prop,
+                          lambda clock, stats: _search(prop, varmap, clock, stats, emit),
+                          budget, emit)
 
 
 def first_solution_is_minimal_check(net: PetriNet) -> bool:
-    """Run the search to its first solution only and verify minimality by
+    """Verify that the first set of the bb run is inclusion-minimal by
     checking every proper nonempty subset against the siphon predicate."""
     if len(net.places) > 12:
         raise ValueError("exhaustive minimality check is limited to 12 places")
-    first = next(_solutions(net, SearchStats(), None, None), None)
-    if first is None:
+    sets = enumerate_minimal_bb(net).sets
+    if not sets:
         return True  # no solutions at all
-    members = sorted(first)
+    members = sorted(sets[0])
     for mask in range(1, (1 << len(members)) - 1):
         subset = [members[i] for i in range(len(members)) if mask >> i & 1]
         if net.is_siphon(subset):

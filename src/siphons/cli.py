@@ -82,12 +82,10 @@ def cmd_analyze(args) -> int:
         required = frozenset(net.place_index(name.strip())
                              for name in args.contains.split(",") if name.strip())
     trace_file = None
-    emit = None
     if args.trace:
         if args.engine != "bb":
             raise ValueError("--trace needs --engine bb")
         trace_file = open(args.trace, "w")
-        emit = lambda line: print(line, file=trace_file)
 
     targets = ("siphons", "traps") if args.target == "both" else (args.target,)
     payload = {
@@ -103,7 +101,7 @@ def cmd_analyze(args) -> int:
     try:
         for target in targets:
             run = enumerate_minimal_siphons if target == "siphons" else enumerate_minimal_traps
-            result = run(net, engine=args.engine, budget=budget, trace=emit)
+            result = run(net, engine=args.engine, budget=budget, trace=trace_file)
             if target == "siphons":
                 siphons = result
             sets = result.sets if required is None else filter_containing(result.sets, required)
@@ -303,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report the maximal marked trap inside each siphon")
     analyze.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_MS,
                          metavar="MS", help="budget in milliseconds, 0 for none")
-    analyze.add_argument("--max-conflicts", type=int, default=None)
+    analyze.add_argument("--max-conflicts", type=int, default=None, metavar="N",
+                         help="conflict budget for the whole run of each target, all solves "
+                              "together; the sat and bb engines both stop at it")
     analyze.add_argument("--trace", metavar="FILE", help="bb only: write a search trace")
     analyze.add_argument("--output", choices=["text", "json", "csv"], default="text")
     analyze.set_defaults(func=cmd_analyze)

@@ -15,7 +15,9 @@ variables that the 0-first descent reaches last instead of chasing the
 assignment frontier.
 
 Enumeration solves, posts a clause that excludes the found set and all its
-supersets, and repeats until UNSAT or the budget runs out. Each solve
+supersets, and repeats until UNSAT or the budget runs out. It is a
+generator under the shared driver (`search.enumerate_sets`), and every
+solve counts its conflicts on the run's one `BudgetClock`. Each solve
 returns the lexicographically least model of the clause store (False below
 True). Only the branching rule matters for that, the lowest-index variable
 and the 0-first phase, with sound propagation: if the model found first
@@ -24,9 +26,8 @@ would be 1 by implication from 0-decisions and clauses that the least
 model shares, so the least model would be 1 there too. The least model is
 inclusion-minimal among the models left; blocking clauses remove only
 supersets of sets already found, so every model is a new minimal siphon.
-The one-place minimal siphons are posted as units before the first solve
-and merged into the output without search
-(`search.merge_one_place_siphons`). The model falsifies
+The driver posts the one-place minimal siphons as units before the first
+solve and merges them into the output without search. The model falsifies
 its blocking clause, so `Propagator.add_clause` takes it like a learned
 one, by decreasing level: the search backjumps to the clause's assertion
 level and the next solve resumes there rather than re-descending from the
@@ -36,13 +37,12 @@ ones a descent from the root would rebuild, and the clause is not unit
 below them, so the models and their order do not change.
 """
 
-import time
 from enum import Enum
 
 from .encoding import Assignment, CnfFormula, blocking_clause, encode_siphon
 from .net import PetriNet
-from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchStats, accept,
-                     merge_one_place_siphons)
+from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchStats,
+                     enumerate_sets)
 
 
 class SolveStatus(Enum):
@@ -138,8 +138,13 @@ class SatSolver(Propagator):
 
     # -- main search ----------------------------------------------------------
 
-    def solve(self, assumptions=(), budget: Budget | None = None) -> SolveStatus:
+    def solve(self, assumptions=(), budget: Budget | BudgetClock | None = None) -> SolveStatus:
         """SAT with self.model set, UNSAT (under the assumptions), or UNKNOWN on budget.
+
+        `budget` is a cap for this call, or the `BudgetClock` of the run
+        this call belongs to, which it shares with the run's other solves.
+        Each conflict counts against it, and the search stops when it is
+        exhausted after a conflict that does not end the search.
 
         Without assumptions the search resumes from the trail that the last
         `solve` or `add_clause` left. That trail holds only 0-first
@@ -157,18 +162,14 @@ class SatSolver(Propagator):
                 raise ValueError(f"bad assumption {lit!r}")
         if assumptions:
             self._cancel_until(0)
-        budget = budget or Budget()
-        deadline = None
-        if budget.max_ms is not None:
-            deadline = time.perf_counter() + budget.max_ms / 1000.0
-        conflicts_here = 0
+        clock = budget if isinstance(budget, BudgetClock) else BudgetClock(budget)
         n_assumptions = len(assumptions)
 
         while True:
             confl = self._propagate()
             if confl is not None:
                 self.conflicts += 1
-                conflicts_here += 1
+                clock.conflicts += 1
                 if not self.decision_level:
                     self.conflicting = True
                     return SolveStatus.UNSAT
@@ -178,11 +179,7 @@ class SatSolver(Propagator):
                     self._enqueue(learned[0], None)
                 else:
                     self._enqueue(learned[0], self._attach(learned))
-                if budget.max_conflicts is not None and conflicts_here >= budget.max_conflicts:
-                    self._cancel_until(0)
-                    return SolveStatus.UNKNOWN
-                if deadline is not None and conflicts_here % 64 == 0 \
-                        and time.perf_counter() >= deadline:
+                if clock.exhausted():
                     self._cancel_until(0)
                     return SolveStatus.UNKNOWN
                 continue
@@ -214,44 +211,29 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
     """All minimal siphons by iterated SAT with non-superset blocking clauses.
 
     Each model is the least one left, so it is a minimal siphon as found
-    (see the module docstring); the one-place minimal siphons are merged in
-    without search (`merge_one_place_siphons`), and `accept` certifies every
-    set. On budget exhaustion the result is returned as found so far,
-    flagged timed out.
+    (see the module docstring). The driver `enumerate_sets` settles the
+    one-place minimal siphons, certifies every set and keeps the budget:
+    when it runs out, the result is returned as found so far, flagged timed
+    out.
     """
     formula, varmap = encode_siphon(net)
     solver = SatSolver(formula)
-    clock = BudgetClock(budget)
-    stats = SearchStats()
-    result = EnumerationResult(stats=stats)
-    search = _models(solver, varmap, clock, stats)
-    for found in merge_one_place_siphons(solver, formula, search, clock, stats):
-        accept(net, result, found)
-    return result
 
+    def search(clock: BudgetClock, stats: SearchStats):
+        # Solve, yield the model's place set, block it and its supersets,
+        # and repeat until UNSAT or the budget runs out.
+        while True:
+            status = solver.solve(budget=clock)
+            stats.solve_calls += 1
+            if status is not SolveStatus.SAT:
+                stats.timed_out = status is SolveStatus.UNKNOWN
+                break
+            found = varmap.true_places(solver.model)
+            yield found
+            solver.add_clause(blocking_clause(found, varmap))
+            if clock.exhausted():
+                stats.timed_out = True
+                break
+        stats.decisions = solver.decisions
 
-def _models(solver: SatSolver, varmap, clock: BudgetClock, stats: SearchStats):
-    """Solve, yield the model's place set, block it and its supersets, and
-    repeat until UNSAT or the budget runs out; counters go into `stats`."""
-    while True:
-        if clock.exhausted():
-            stats.timed_out = True
-            break
-        left_ms = None
-        if clock.deadline is not None:
-            left_ms = max(0.0, (clock.deadline - time.perf_counter()) * 1000.0)
-        before = solver.conflicts
-        status = solver.solve(budget=Budget(max_conflicts=clock.conflicts_left(), max_ms=left_ms))
-        clock.conflicts += solver.conflicts - before
-        stats.solve_calls += 1
-        if status is SolveStatus.UNKNOWN:
-            stats.timed_out = True
-            break
-        if status is SolveStatus.UNSAT:
-            break
-        found = varmap.true_places(solver.model)
-        yield found
-        solver.add_clause(blocking_clause(found, varmap))
-
-    stats.conflicts = solver.conflicts
-    stats.decisions = solver.decisions
+    return enumerate_sets(net, formula, solver, search, budget)

@@ -7,18 +7,21 @@ falsified clause for backjumping, and the SAT solver subclasses it with
 conflict learning. Both post each blocking clause through `add_clause`,
 which resumes the search at the clause's assertion level. Truth values,
 levels and reasons are indexed by literal, as in MiniSat, so reading one
-takes no sign arithmetic. Also here: budgets, stats, results, the
-per-set acceptance step, and the one-place minimal siphons, which both
-engines read off the encoding and merge into their output without search.
+takes no sign arithmetic.
+
+`enumerate_sets` is the one enumeration driver: each engine encodes the
+net, builds its store and hands the driver a generator over it. The driver
+owns the run's `BudgetClock`, the one budget check of both engines, settles
+the one-place minimal siphons without search, certifies every set with
+`accept` and fills in the stats. Also here: budgets, stats and results.
 """
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .encoding import CnfFormula
-from .net import PetriNet, PlaceSet
+from .net import PetriNet, PlaceSet, format_place_set
 
 
 @dataclass(frozen=True)
@@ -36,33 +39,24 @@ class Budget:
 
 
 class BudgetClock:
-    """Running countdown against a Budget, shared by all solve calls of a run."""
+    """The one budget check of an enumeration run, shared by all its solves
+    (see `enumerate_sets` for how the engines use it)."""
 
     def __init__(self, budget: Budget | None):
-        self.budget = budget or Budget()
+        budget = budget or Budget()
         self.start = time.perf_counter()
         self.conflicts = 0
+        self.max_conflicts = budget.max_conflicts
+        self.deadline = None if budget.max_ms is None else self.start + budget.max_ms / 1000.0
 
     @property
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.start) * 1000.0
 
-    @property
-    def deadline(self) -> float | None:
-        if self.budget.max_ms is None:
-            return None
-        return self.start + self.budget.max_ms / 1000.0
-
-    def conflicts_left(self) -> int | None:
-        if self.budget.max_conflicts is None:
-            return None
-        return max(0, self.budget.max_conflicts - self.conflicts)
-
     def exhausted(self) -> bool:
-        if self.budget.max_conflicts is not None and self.conflicts >= self.budget.max_conflicts:
+        if self.max_conflicts is not None and self.conflicts >= self.max_conflicts:
             return True
-        deadline = self.deadline
-        return deadline is not None and time.perf_counter() >= deadline
+        return self.deadline is not None and time.perf_counter() >= self.deadline
 
 
 @dataclass
@@ -72,12 +66,18 @@ class SearchStats:
     Both engines resume after each set at its blocking clause's assertion
     level, so `decisions` counts only the decisions made after each resume,
     and `solve_calls` is one per searched set plus the first descent. A
-    one-place set is not searched for (see `merge_one_place_siphons`), so it
-    adds to no counter. The SAT engine counts solver invocations, conflicts
-    and decisions. The branch-and-bound engine reports decision nodes in
+    one-place set is not searched for (see `enumerate_sets`), so it adds to
+    no counter. The SAT engine counts solver invocations, conflicts and
+    decisions. The branch-and-bound engine reports decision nodes in
     `decisions`, including the path decisions it re-makes above the
     assertion level, and falsified clauses in `conflicts` (one per failure,
     however many levels its backjump pops).
+
+    `conflicts` is the count on the run's `BudgetClock`: under
+    `Budget(max_conflicts=k)` either engine stops at k. The conflict that
+    ends a search, proving that no set is left, counts but is no cut.
+    `timed_out` means that completeness was not proven: the sets are a
+    prefix of the full list, which may hold more.
     """
 
     solve_calls: int = 0
@@ -416,32 +416,45 @@ class Propagator:
             raise ValueError("already at the root level")
         self._cancel_until(self.decision_level - 1)
 
-    def backtrack_all(self) -> None:
-        self._cancel_until(0)
 
+def enumerate_sets(net: PetriNet, formula: CnfFormula, store: Propagator, search,
+                   budget: Budget | None, emit=None) -> EnumerationResult:
+    """Run an engine's search over `store`, which holds `formula`, the
+    encoding of `net`, and return its sets with the one-place minimal
+    siphons merged in, each certified by `accept` and passed to `emit`, if
+    given, as an `S {places}` line.
 
-def merge_one_place_siphons(store: Propagator, formula: CnfFormula, found: Iterator[PlaceSet],
-                            clock: BudgetClock, stats: SearchStats) -> Iterator[PlaceSet]:
-    """The sets of an engine's search, with the one-place minimal siphons
-    merged in at their places in the output order. When the stream ends,
-    `stats.elapsed_ms` is the run's time on `clock`.
+    `search(clock, stats)` is a generator that yields the engine's sets in
+    order and posts each one's blocking clause when resumed. It counts its
+    solve calls and decisions in `stats` and its conflicts on `clock`, and
+    stops with `stats.timed_out` set when `clock.exhausted()` after a set or
+    after a conflict that does not end the search. The driver fills in
+    `stats.conflicts` and `stats.elapsed_ms`, which covers the last set.
 
     A place p whose producers all consume p, or that has none, is the
     minimal siphon {p}, and no other minimal siphon contains p. In
     `encode_siphon`'s formula it is a variable that no clause negates: a
     clause negates only its first literal, so these are read off the clause
     heads in one pass. The units -p go into `store` together, at the root,
-    before `found`, a search over that store, starts; so the search finds
-    the other minimal siphons and never branches on such a p.
+    before the search starts, so it finds the other minimal siphons and
+    never branches on such a p.
 
     Both engines emit sets in increasing lexicographic order of their
     characteristic vectors (variable 1 most significant, 0 before 1), that
     is, in decreasing order of their least place. {p} comes before a set S
     exactly when p > min(S), so the pending {p} with p > min(S) go out
-    before S, in decreasing p, and the rest after the search ends. A search
-    cut by its budget (`stats.timed_out`) drops the rest, so a cut run is a
-    prefix of the full one.
+    before S, in decreasing p, and the rest after the search ends. A run
+    cut by its budget drops the rest, so it is a prefix of the full one.
     """
+    clock = BudgetClock(budget)
+    result = EnumerationResult()
+    stats = result.stats
+
+    def take(s: PlaceSet) -> None:
+        accept(net, result, s)
+        if emit:
+            emit("S " + format_place_set(net, s))
+
     n = formula.num_vars
     heads = set(map(itemgetter(0), formula.clauses))
     # Heads -n..-1 and the non-emptiness clause's 1: no one-place siphon.
@@ -449,13 +462,18 @@ def merge_one_place_siphons(store: Propagator, formula: CnfFormula, found: Itera
     store._add_root_units(units)
     places = [-lit - 1 for lit in units]  # decreasing
     i = 0
-    for s in found:
-        least = min(s)
-        while i < len(places) and places[i] > least:
-            yield frozenset((places[i],))
-            i += 1
-        yield s
+    if clock.exhausted():
+        stats.timed_out = True
+    else:
+        for s in search(clock, stats):
+            least = min(s)
+            while i < len(places) and places[i] > least:
+                take(frozenset((places[i],)))
+                i += 1
+            take(s)
     if not stats.timed_out:
         for p in places[i:]:
-            yield frozenset((p,))
+            take(frozenset((p,)))
+    stats.conflicts = clock.conflicts
     stats.elapsed_ms = clock.elapsed_ms
+    return result

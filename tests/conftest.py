@@ -87,6 +87,19 @@ def singleton_heavy_nets() -> list[PetriNet]:
     return [gen_random_net(2000, 666, 3, seed=1), gen_random_net(500, 166, 3, seed=1)]
 
 
+def enzyme_cascade(k: int) -> PetriNet:
+    """A k-stage enzyme cascade: S_i + E_i <-> C_i -> E_i + S_{i+1}, fed
+    into S1 and drained from S_{k+1}. Its 3k+1 places come in first-use
+    order, and its minimal siphons and traps are the k sets {E_i, C_i}."""
+    specs = [("in", [], ["S1"])]
+    for i in range(1, k + 1):
+        s, e, c = f"S{i}", f"E{i}", f"C{i}"
+        specs += [(f"b{i}", [s, e], [c]), (f"u{i}", [c], [s, e]),
+                  (f"c{i}", [c], [e, f"S{i + 1}"])]
+    specs.append(("out", [f"S{k + 1}"], []))
+    return PetriNet.from_transitions(specs)
+
+
 def irregular_net(rng: random.Random, max_places: int = 12) -> PetriNet:
     """A random net of 1..max_places places with the shapes the encoding
     treats specially: self-loops, zero-weight arcs (no arc), transitions

@@ -146,7 +146,8 @@ def test_kernel_matches_naive_unit_closure(engine):
                 else:
                     if not ok or rng.random() < 0.5:
                         decisions.clear()
-                        prop.backtrack_all()
+                        while prop.decision_level:
+                            prop.backtrack()
                     vs = rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
                     clause = [v if rng.random() < 0.5 else -v for v in vs]
                 clauses.append(clause)

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, blocking_clause, encode_siphon,
@@ -350,16 +351,27 @@ def test_enumeration_matches_a_fresh_solve_per_set():
     assert checked >= 0.9 * len(corpus)
 
 
-def test_conflict_budget_cuts_a_prefix_of_the_full_run():
+@pytest.mark.parametrize("enumerate_, full_budget", [
+    (enumerate_minimal_sat, None),
+    # bb's full runs on the traps of the reductions with clauses take about
+    # a million conflicts: those nets are skipped
+    (enumerate_minimal_bb, Budget(max_conflicts=5000)),
+], ids=["enumerate_minimal_sat", "enumerate_minimal_bb"])
+def test_conflict_budget_cuts_a_prefix_of_the_full_run(enumerate_, full_budget):
+    # One conflict budget for the whole run, which both engines stop at. A
+    # run not flagged timed out is the full list; a flagged one is a prefix.
     cut = 0
     for net in least_model_corpus():
-        full = enumerate_minimal_sat(net).sets
+        full = enumerate_(net, budget=full_budget)
+        if full.stats.timed_out:
+            continue
         for k in (1, 5, 20):
-            res = enumerate_minimal_sat(net, budget=Budget(max_conflicts=k))
-            assert res.sets == full[:len(res.sets)]
-            if len(res.sets) < len(full):
-                assert res.stats.timed_out
-                cut += 1
+            res = enumerate_(net, budget=Budget(max_conflicts=k))
+            assert res.stats.conflicts <= k
+            assert res.sets == full.sets[:len(res.sets)]
+            if not res.stats.timed_out:
+                assert res.sets == full.sets
+            cut += len(res.sets) < len(full.sets)
     assert cut > 0
 
 

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from siphons import (EnumerationResult, PetriNet, SearchStats, brute_force_minimal_siphons,
+from siphons import (EnumerationResult, PetriNet, brute_force_minimal_siphons,
                      enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check)
-from siphons.branch_bound import _solutions
 from siphons.search import Budget, accept
 
-from conftest import least_model_corpus, least_model_order, random_net_corpus, singleton_heavy_nets
+from conftest import (enzyme_cascade, least_model_corpus, least_model_order, random_net_corpus,
+                      singleton_heavy_nets)
 
 
 def open_net() -> PetriNet:
@@ -146,6 +146,7 @@ def test_a_cut_run_drops_the_pending_one_place_sets(enumerate_):
     dropped = 0
     for k in (1, 2):
         res = enumerate_(net, budget=Budget(max_conflicts=k))
+        assert res.stats.conflicts <= k
         assert res.sets == full[:len(res.sets)]
         if len(res.sets) < len(full):
             assert res.stats.timed_out
@@ -159,5 +160,18 @@ def test_first_solution_is_the_merged_first_set():
     net = PetriNet.from_transitions([("t1", ["A"], ["B"]), ("t2", ["B"], ["A"])],
                                     places=["A", "B", "C"])
     assert enumerate_minimal_bb(net).sets == [net.place_set("C"), net.place_set("A", "B")]
-    assert next(_solutions(net, SearchStats(), None, None)) == net.place_set("C")
+    assert enumerate_minimal_bb(net).sets[0] == net.place_set("C")
     assert first_solution_is_minimal_check(net)
+
+
+@pytest.mark.parametrize("k", [50, 100])
+def test_enzyme_cascade_has_one_two_place_set_per_stage(k):
+    # The regime of large nets with many small siphons. By the output order,
+    # the stage with the greatest least place comes first.
+    net = enzyme_cascade(k)
+    assert len(net.places) == 3 * k + 1
+    expected = [net.place_set(f"E{i}", f"C{i}") for i in range(k, 0, -1)]
+    for instance in (net, net.dual()):
+        sat, bb = enumerate_minimal_sat(instance), enumerate_minimal_bb(instance)
+        assert sat.complete and bb.complete
+        assert sat.sets == bb.sets == expected
