@@ -37,8 +37,7 @@ def enumerate_minimal_siphons(net: PetriNet, engine: str = "sat",
         return enumerate_minimal_bb(net, budget=budget, trace=trace)
     if engine == "oracle":
         clock = BudgetClock(budget)
-        sets, timed_out = _oracle(net, net.pre_transitions, net.post_transitions,
-                                  ORACLE_MAX_PLACES, clock)
+        sets, timed_out = _oracle(net, net.pre_transitions, net.post_transitions, clock)
         stats = SearchStats(solve_calls=1, elapsed_ms=clock.elapsed_ms, timed_out=timed_out)
         return EnumerationResult(sets=sets, stats=stats)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -78,7 +77,7 @@ def max_trap_within(net: PetriNet, s: Iterable[int]) -> PlaceSet:
         current.difference_update(dropped)
 
 
-def _oracle(net: PetriNet, predicate_pre, predicate_post, max_places: int,
+def _oracle(net: PetriNet, predicate_pre, predicate_post,
             clock: BudgetClock | None = None) -> tuple[list[PlaceSet], bool]:
     """Inclusion-minimal nonempty place sets passing pre<=post, in canonical
     order, and whether the clock ran out before the scan finished.
@@ -90,8 +89,8 @@ def _oracle(net: PetriNet, predicate_pre, predicate_post, max_places: int,
     n = len(net.places)
     if n == 0:
         return [], False
-    if n > max_places:
-        raise ValueError(f"net has {n} places; brute force is capped at {max_places}")
+    if n > ORACLE_MAX_PLACES:
+        raise ValueError(f"net has {n} places; brute force is capped at {ORACLE_MAX_PLACES}")
     pre = [0] * n
     post = [0] * n
     for p in range(n):
@@ -125,16 +124,14 @@ def _oracle(net: PetriNet, predicate_pre, predicate_post, max_places: int,
     return canonical_order(net, sets), timed_out
 
 
-def brute_force_minimal_siphons(net: PetriNet,
-                                max_places: int = ORACLE_MAX_PLACES) -> list[PlaceSet]:
+def brute_force_minimal_siphons(net: PetriNet) -> list[PlaceSet]:
     """Oracle: scan all nonempty place subsets; practical up to ~15 places."""
-    return _oracle(net, net.pre_transitions, net.post_transitions, max_places)[0]
+    return _oracle(net, net.pre_transitions, net.post_transitions)[0]
 
 
-def brute_force_minimal_traps(net: PetriNet,
-                              max_places: int = ORACLE_MAX_PLACES) -> list[PlaceSet]:
+def brute_force_minimal_traps(net: PetriNet) -> list[PlaceSet]:
     """Trap oracle built directly on the trap condition, no dualization."""
-    return _oracle(net, net.post_transitions, net.pre_transitions, max_places)[0]
+    return _oracle(net, net.post_transitions, net.pre_transitions)[0]
 
 
 @dataclass

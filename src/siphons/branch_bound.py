@@ -13,13 +13,13 @@ re-decided while their variables are still free, and the search goes on.
 A failure backjumps instead of backtracking chronologically (conflict-directed
 backjumping: Prosser 1993; Bayardo and Schrag, AAAI 1997). The falsified
 clause is traced back through the reasons of its literals to the decision
-levels it depends on. A 0-branch that fails flips to 1 and records its
-failure; when the 1-branch fails too, the levels below that either failure
-depends on are joined, and the search unwinds straight to the deepest of
-them, skipping the pending branches above it. Those branches share the
-failure, so only subtrees with no solution are skipped, and the solutions
-and their order do not change. No clause is learned: the only clauses added
-are the blocking clauses.
+levels it depends on. A 0-branch that fails flips to 1 and records those
+levels as a bitmask; when the 1-branch fails too, the levels below that
+either failure depends on are joined, and the search unwinds straight to
+the deepest of them, skipping the pending branches above it. Those
+branches share the failure, so only subtrees with no solution are skipped,
+and the solutions and their order do not change. No clause is learned: the
+only clauses added are the blocking clauses.
 
 The search is a generator under the shared driver, `search.enumerate_sets`.
 It asks the run's one `BudgetClock` after each solution and after each
@@ -38,15 +38,9 @@ class _Dependencies:
     decision at level l, bit 0 for the root. A decision depends on its own
     level and an implied literal on the union over its reason clause. The
     masks are filled in level by level, only when a failure is traced, and
-    kept for the levels 1..`valid` that have not changed since. At the level
-    of the failure only its own cone is walked, marking literals with a
-    per-walk stamp.
-
-    A failure is kept as what tracing it needs: its level, its clause, and
-    the literals of that level with their reasons. It is traced only when
-    its levels are asked for, which a failed 0-branch puts off until its
-    1-branch fails too; a backjump over that level drops it untraced. The
-    levels below it are the same then, so their masks still apply.
+    kept for the levels 1..`valid` that have not changed since. A failure is
+    traced when it happens, before the search backtracks, and at its own
+    level only its cone is walked, marking literals with a per-walk stamp.
     """
 
     def __init__(self, prop: Propagator):
@@ -57,32 +51,27 @@ class _Dependencies:
         self.valid = 0             # levels 1..valid are filled in
         self.rooted = 0            # so are trail[:rooted], all at level 0
 
-    def failure(self):
-        """The clause `prop.conflict` falsified at the current level, kept for
-        tracing. If its literals sit on every open level, so does the failure,
-        as every assigned literal depends on the decision of its own level:
-        then the levels below are returned at once, as a mask."""
+    def failure(self) -> int:
+        """The levels below the current one that the clause `prop.conflict`
+        falsified depends on, as a mask (bit 0 never set). If its literals
+        sit on every open level, so does the failure, as every assigned
+        literal depends on the decision of its own level: then that mask is
+        returned without a trace."""
         prop = self.prop
         top = prop.decision_level
+        below = (1 << top) - 2
         clause = prop.clauses[prop.conflict]
         if len(clause) >= top:
             level = prop.level
             on = {level[-q] for q in clause}
             if len(on) - (0 in on) == top:
-                return (1 << top) - 2
-        at_top = prop.trail[prop.trail_lim[top - 1]:]
-        return top, clause, at_top, list(map(prop.reason.__getitem__, at_top))
-
-    def below(self, failure) -> int:
-        """The levels below a failure's own that it depends on (bit 0 never
-        set), tracing it now if it was kept."""
-        if type(failure) is int:
-            return failure
-        top, clause, at_top, reasons = failure
+                return below
         self._fill(top - 1)
         dep = self.dep
         mark = self.mark
-        clauses = self.prop.clauses
+        clauses = prop.clauses
+        reason = prop.reason
+        at_top = prop.trail[prop.trail_lim[top - 1]:]
         on_top = set(at_top)
         stamp = self.stamp = self.stamp + 1
         # Walk the cone back along the level's literals: a marked literal
@@ -98,13 +87,13 @@ class _Dependencies:
         for i in range(len(at_top) - 1, 0, -1):
             t = at_top[i]
             if mark[t] == stamp:
-                for q in clauses[reasons[i]]:
+                for q in clauses[reason[t]]:
                     x = -q
                     if x in on_top:
                         mark[x] = stamp
                     elif q != t:
                         levels |= dep[x]
-        return levels & ((1 << top) - 2)
+        return levels & below
 
     def _fill(self, upto: int) -> None:
         """Fill in the masks of the open levels up to `upto`."""
@@ -151,9 +140,9 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
     conflict counted, as in the SAT engine.
     """
     # One entry per decision level: (var, value, failure). A 0-branch still
-    # has its 1-branch pending; a 1-branch carries the failure of its
-    # 0-branch (see _Dependencies).
-    stack: list[tuple[int, bool, object]] = []
+    # has its 1-branch pending; a 1-branch carries the levels its 0-branch's
+    # failure depends on (see _Dependencies.failure).
+    stack: list[tuple[int, bool, int]] = []
     deps = _Dependencies(prop)
 
     def decide(var, value, failure=0):
@@ -192,7 +181,7 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
                 # 1; a 1-branch failed both ways too, so its 0-branch's
                 # levels join in and the jump goes on. With no level left,
                 # the search is over.
-                levels = deps.below(failure) | deps.below(recorded)
+                levels = failure | recorded
                 while levels:
                     top = levels.bit_length() - 1
                     while depth >= top:
@@ -204,7 +193,7 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
                     levels ^= 1 << top
                     if not value:
                         break
-                    levels |= deps.below(recorded)
+                    levels |= recorded
                 else:
                     while stack:
                         stack.pop()
@@ -230,7 +219,7 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
                 break
             # The clause sent the search back to its assertion level and
             # asserted its top literal there; that level's masks are refilled
-            # when next asked for, and the levels below are as they were. The
+            # by the next trace, and the levels below are as they were. The
             # path above is replayed while its variables are still free. The
             # first one that the new clause has decided, either way, ends the
             # replay: if it is implied as decided, the decisions after it

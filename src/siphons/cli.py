@@ -56,15 +56,21 @@ def _load_model(path: Path, fmt: str | None) -> tuple[PetriNet, tuple[int, ...],
     return net, marking, fmt
 
 
+def _spread(name: str, values: list[int]) -> dict:
+    """`<name>_min`, `<name>_max` and `<name>_avg` (to 3 places) of values,
+    each None when there are none."""
+    keys = (f"{name}_min", f"{name}_max", f"{name}_avg")
+    if not values:
+        return dict.fromkeys(keys)
+    return dict(zip(keys, (min(values), max(values), round(sum(values) / len(values), 3))))
+
+
 def _result_dict(net: PetriNet, sets, stats) -> dict:
     ordered = canonical_order(net, sets)
-    sizes = [len(s) for s in ordered]
     return {
         "count": len(ordered),
         "sets": [list(net.set_names(s)) for s in ordered],
-        "size_min": min(sizes) if sizes else None,
-        "size_max": max(sizes) if sizes else None,
-        "size_avg": round(sum(sizes) / len(sizes), 3) if sizes else None,
+        **_spread("size", [len(s) for s in ordered]),
         "elapsed_ms": round(stats.elapsed_ms, 3),
         "timed_out": stats.timed_out,
         "solve_calls": stats.solve_calls,
@@ -245,16 +251,10 @@ def cmd_stats(args) -> int:
             "elapsed_ms": result.stats.elapsed_ms,
             "timed_out": result.stats.timed_out,
         })
-    counts = [e["count"] for e in entries]
-    sizes = [s for e in entries for s in e["sizes"]]
     summary = {
         "models": len(entries),
-        "count_min": min(counts) if counts else None,
-        "count_max": max(counts) if counts else None,
-        "count_avg": round(sum(counts) / len(counts), 3) if counts else None,
-        "size_min": min(sizes) if sizes else None,
-        "size_max": max(sizes) if sizes else None,
-        "size_avg": round(sum(sizes) / len(sizes), 3) if sizes else None,
+        **_spread("count", [e["count"] for e in entries]),
+        **_spread("size", [s for e in entries for s in e["sizes"]]),
         "total_ms": round(sum(e["elapsed_ms"] for e in entries), 3),
         "timeouts": sum(e["timed_out"] for e in entries),
         "unparseable": [name for name, _ in failures],

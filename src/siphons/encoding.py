@@ -25,7 +25,7 @@ Assignment = tuple[bool, ...]
 class CnfFormula:
     """Clause store over variables 1..num_vars, duplicate- and tautology-free."""
 
-    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]] = ()):
+    def __init__(self, num_vars: int):
         if num_vars < 1:
             raise ValueError("formula needs at least one variable")
         self.num_vars = num_vars
@@ -33,8 +33,6 @@ class CnfFormula:
         # The clauses as literal sets, built on the first `add_clause`, so a
         # formula that `encode_siphon` fills directly pays for no index.
         self._seen: set[frozenset[int]] | None = None
-        for clause in clauses:
-            self.add_clause(clause)
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False if it was a duplicate or a tautology."""

@@ -1,5 +1,6 @@
 """Petri net core: immutable net structure, markings, siphon/trap predicates."""
 
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 
 Marking = tuple[int, ...]
@@ -166,30 +167,24 @@ class PetriNet:
 
     def is_siphon(self, s: Iterable[int]) -> bool:
         """True iff s is nonempty and every producer of s also consumes in s."""
-        s = self._check_set(s)
-        if not s:
-            return False
-        pre = frozenset().union(*(self._pre_transitions[p] for p in s))
-        post = frozenset().union(*(self._post_transitions[p] for p in s))
-        return pre <= post
+        return self._compare_transitions(s, operator.le)
 
     def is_trap(self, s: Iterable[int]) -> bool:
         """True iff s is nonempty and every consumer of s also produces in s."""
-        s = self._check_set(s)
-        if not s:
-            return False
-        pre = frozenset().union(*(self._pre_transitions[p] for p in s))
-        post = frozenset().union(*(self._post_transitions[p] for p in s))
-        return post <= pre
+        return self._compare_transitions(s, operator.ge)
 
     def is_proper_siphon(self, s: Iterable[int]) -> bool:
         """True iff s is a siphon whose producer set is strictly inside its consumer set."""
+        return self._compare_transitions(s, operator.lt)
+
+    def _compare_transitions(self, s: Iterable[int], holds) -> bool:
+        """False if s is empty, else `holds(producers, consumers)` of s."""
         s = self._check_set(s)
         if not s:
             return False
         pre = frozenset().union(*(self._pre_transitions[p] for p in s))
         post = frozenset().union(*(self._post_transitions[p] for p in s))
-        return pre < post
+        return holds(pre, post)
 
     def dual(self) -> "PetriNet":
         """The net with every arc reversed; traps here are siphons there.

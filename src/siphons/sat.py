@@ -1,8 +1,9 @@
 """Iterated SAT enumeration of minimal siphons.
 
 The solver is a small CDCL on the shared watched-literal `Propagator`
-(`search.py`, also under branch-and-bound): first-UIP conflict learning
-with backjumping; a solve never starts over and never deletes a clause.
+(`search.py`, also under branch-and-bound): first-UIP conflict learning,
+each learned clause posted through `Propagator.add_clause`, which backjumps;
+a solve never starts over and never deletes a clause.
 Branching is the shared fixed rule: the lowest-index unassigned
 variable, False before True.
 Each learned clause is minimized (a literal goes when every other literal
@@ -76,12 +77,12 @@ class SatSolver(Propagator):
 
     # -- conflict analysis ----------------------------------------------------
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
-        """Minimized first-UIP learned clause and the level to jump back to.
+    def _analyze(self, confl: int) -> list[int]:
+        """The minimized first-UIP clause learned from conflict `confl`.
 
-        The clause is the asserting literal followed by the other literals
-        in decreasing level order, so index 1 holds a literal of the
-        backjump level, as the watch invariant needs.
+        The asserting literal comes first, the rest in the order analysis
+        met them; `add_clause` sorts them by decreasing level, backjumps to
+        the level of the second and asserts the first there.
         """
         # Every literal q met in a conflict or reason clause other than the
         # implied one is false, so its variable's entries sit at index -q.
@@ -131,10 +132,7 @@ class SatSolver(Propagator):
         learned = kept
         for t in touched:
             seen[t] = False
-        if not learned:
-            return [-p], 0
-        learned.sort(key=lambda q: level[-q], reverse=True)
-        return [-p] + learned, level[-learned[0]]
+        return [-p] + learned
 
     # -- main search ----------------------------------------------------------
 
@@ -167,18 +165,15 @@ class SatSolver(Propagator):
 
         while True:
             confl = self._propagate()
-            if confl is not None:
+            # `conflicting` is set here only by a learned unit that
+            # `add_clause` refuted at the root.
+            if confl is not None or self.conflicting:
                 self.conflicts += 1
                 clock.conflicts += 1
                 if not self.decision_level:
                     self.conflicting = True
                     return SolveStatus.UNSAT
-                learned, back = self._analyze(confl)
-                self._cancel_until(back)
-                if len(learned) == 1:
-                    self._enqueue(learned[0], None)
-                else:
-                    self._enqueue(learned[0], self._attach(learned))
+                self.add_clause(self._analyze(confl))
                 if clock.exhausted():
                     self._cancel_until(0)
                     return SolveStatus.UNKNOWN

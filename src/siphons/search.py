@@ -5,9 +5,10 @@ loop, with the decision level and reason of every assignment:
 branch-and-bound drives it through `decide`/`backtrack` and reads the
 falsified clause for backjumping, and the SAT solver subclasses it with
 conflict learning. Both post each blocking clause through `add_clause`,
-which resumes the search at the clause's assertion level. Truth values,
-levels and reasons are indexed by literal, as in MiniSat, so reading one
-takes no sign arithmetic.
+which resumes the search at the clause's assertion level; the SAT solver
+posts its learned clauses there too. Truth values, levels and reasons are
+indexed by literal, as in MiniSat, so reading one takes no sign
+arithmetic.
 
 `enumerate_sets` is the one enumeration driver: each engine encodes the
 net, builds its store and hands the driver a generator over it. The driver
@@ -226,16 +227,17 @@ class Propagator:
     def add_clause(self, literals) -> bool:
         """Add a permanent clause; returns False once the store is UNSAT at the root.
 
-        A clause that the current assignment falsifies (a blocking clause
-        against the model just found always is) goes in like a learned
-        clause: its literals fixed at level 0 are dropped, the rest are
-        sorted by decreasing level, and the search backjumps only as far as
-        it must. If the top level is unique, it backjumps to the
-        second-highest level and asserts the top literal there, which the
-        caller propagates; if two literals share the top level, it backjumps
-        to the level below and attaches. A clause with at most one literal
-        above level 0, and any other clause, goes in at the root with the
-        search state unwound first.
+        A clause that the current assignment falsifies, as every clause the
+        SAT solver learns and every blocking clause against the model just
+        found is, goes in as CDCL learning needs: its literals fixed at
+        level 0 are dropped, the rest are sorted stably by decreasing
+        level, and the search backjumps only as far as it must. If the top
+        level is unique, it backjumps to the second-highest level and
+        asserts the top literal there, which the caller propagates; if two
+        literals share the top level, it backjumps to the level below and
+        attaches. A clause with at most one literal above level 0, and any
+        other clause, goes in at the root with the search state unwound
+        first; a unit there is propagated at once.
         """
         literals = list(literals)
         num_vars = self.num_vars

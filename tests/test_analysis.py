@@ -82,7 +82,7 @@ def test_oracle_place_cap():
     with pytest.raises(ValueError):
         brute_force_minimal_siphons(net)
     small = gen_chain(8)
-    assert len(brute_force_minimal_siphons(small, max_places=16)) == 2 ** 8
+    assert len(brute_force_minimal_siphons(small)) == 2 ** 8
 
 
 def test_oracle_honours_budget():

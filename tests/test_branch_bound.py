@@ -383,26 +383,26 @@ def forces_conflict(prop, decisions):
 
 
 def test_bb_traced_levels_force_the_failure(monkeypatch):
-    # Every traced failure is checked: the decisions of the levels below it
-    # that it is said to depend on, plus its own decision, must force it.
+    # Every failure is checked, those given the full mask without a trace
+    # too: the decisions of the levels below it that it is said to depend
+    # on, plus its own decision, must force it.
     # The three seeded nets post a blocking clause that changes the replayed
     # trail at a level whose masks were filled in before the solution, so
     # stale masks would show. The chain's dual makes up the failures that the
     # random nets' one-place siphons no longer cost once they are not searched.
     checks = []
-    below = _Dependencies.below
+    failure = _Dependencies.failure
 
-    def checked(deps, failure):
-        levels = below(deps, failure)
-        if type(failure) is not int:
-            top, _, at_top, _ = failure
-            prop = deps.prop
-            decisions = [prop.trail[prop.trail_lim[lv - 1]]
-                         for lv in range(1, top) if levels >> lv & 1]
-            checks.append(forces_conflict(prop, decisions + [at_top[0]]))
+    def checked(deps):
+        levels = failure(deps)
+        prop = deps.prop
+        top = prop.decision_level
+        decisions = [prop.trail[prop.trail_lim[lv - 1]]
+                     for lv in range(1, top + 1) if lv == top or levels >> lv & 1]
+        checks.append(forces_conflict(prop, decisions))
         return levels
 
-    monkeypatch.setattr(_Dependencies, "below", checked)
+    monkeypatch.setattr(_Dependencies, "failure", checked)
     nets = [gen_random_net(16, 8, 3, 0), gen_random_net(20, 10, 3, 172).dual(),
             random_net_corpus(1, base_seed=288)[0],
             gen_chain(6), gen_chain(6).dual(), gen_3sat_reduction(gen_random_3sat(6, 26, 0))]

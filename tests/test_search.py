@@ -3,7 +3,8 @@ import random
 import pytest
 
 from siphons import (EnumerationResult, PetriNet, brute_force_minimal_siphons,
-                     enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check)
+                     enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check,
+                     gen_3sat_reduction, gen_chain, gen_random_3sat)
 from siphons.search import Budget, accept
 
 from conftest import (enzyme_cascade, least_model_corpus, least_model_order, random_net_corpus,
@@ -175,3 +176,23 @@ def test_enzyme_cascade_has_one_two_place_set_per_stage(k):
         sat, bb = enumerate_minimal_sat(instance), enumerate_minimal_bb(instance)
         assert sat.complete and bb.complete
         assert sat.sets == bb.sets == expected
+
+
+@pytest.mark.parametrize("make, sat_counts, bb_counts", [
+    (lambda: gen_chain(10), (1024, 1025, 528, 1551), (1024, 1025, 1023, 3579)),
+    (lambda: gen_chain(10).dual(), (1024, 1025, 512, 1535), (1024, 1025, 513, 2559)),
+    (lambda: gen_3sat_reduction(gen_random_3sat(50, 213, 0)),
+     (232, 233, 584, 12928), (232, 233, 4794, 22434)),
+    (lambda: gen_3sat_reduction(gen_random_3sat(50, 300, 0)),
+     (50, 51, 119, 1356), (50, 51, 352, 1994)),
+], ids=["chain10", "chain10-traps", "reduction50-213", "reduction50-300"])
+def test_effort_counters_are_pinned(make, sat_counts, bb_counts):
+    # (sets, solve calls, conflicts, decisions) of each engine. The counters
+    # are deterministic, so a change to the search paths that alters the
+    # work they do shows here on any machine.
+    net = make()
+    for enumerate_, counts in ((enumerate_minimal_sat, sat_counts), (enumerate_minimal_bb, bb_counts)):
+        res = enumerate_(net)
+        stats = res.stats
+        assert res.complete
+        assert (len(res.sets), stats.solve_calls, stats.conflicts, stats.decisions) == counts
