@@ -39,24 +39,22 @@ class _Dependencies:
     level and an implied literal on the union over its reason clause. The
     masks are filled in level by level, only when a failure is traced, and
     kept for the levels 1..`valid` that have not changed since. A failure is
-    traced when it happens, before the search backtracks, and at its own
-    level only its cone is walked, marking literals with a per-walk stamp.
+    traced when it happens, before the search backtracks.
     """
 
     def __init__(self, prop: Propagator):
         self.prop = prop
-        self.dep: list[int] = []   # both allocated by the first trace
-        self.mark: list[int] = []
-        self.stamp = 0
+        self.dep: list[int] = []   # allocated by the first trace
         self.valid = 0             # levels 1..valid are filled in
         self.rooted = 0            # so are trail[:rooted], all at level 0
 
     def failure(self) -> int:
         """The levels below the current one that the clause `prop.conflict`
-        falsified depends on, as a mask (bit 0 never set). If its literals
-        sit on every open level, so does the failure, as every assigned
-        literal depends on the decision of its own level: then that mask is
-        returned without a trace."""
+        falsified depends on, as a mask (bit 0 never set): the union of its
+        literals' masks, filled in through the current level. If its
+        literals sit on every open level, so does the failure, as every
+        assigned literal depends on the decision of its own level: then that
+        mask is returned without a trace."""
         prop = self.prop
         top = prop.decision_level
         below = (1 << top) - 2
@@ -66,33 +64,11 @@ class _Dependencies:
             on = {level[-q] for q in clause}
             if len(on) - (0 in on) == top:
                 return below
-        self._fill(top - 1)
+        self._fill(top)
         dep = self.dep
-        mark = self.mark
-        clauses = prop.clauses
-        reason = prop.reason
-        at_top = prop.trail[prop.trail_lim[top - 1]:]
-        on_top = set(at_top)
-        stamp = self.stamp = self.stamp + 1
-        # Walk the cone back along the level's literals: a marked literal
-        # marks the literals of its reason at that level, and the lower
-        # ones add their filled-in masks.
         levels = 0
         for q in clause:
-            t = -q
-            if t in on_top:
-                mark[t] = stamp
-            else:
-                levels |= dep[t]
-        for i in range(len(at_top) - 1, 0, -1):
-            t = at_top[i]
-            if mark[t] == stamp:
-                for q in clauses[reason[t]]:
-                    x = -q
-                    if x in on_top:
-                        mark[x] = stamp
-                    elif q != t:
-                        levels |= dep[x]
+            levels |= dep[-q]
         return levels & below
 
     def _fill(self, upto: int) -> None:
@@ -103,7 +79,6 @@ class _Dependencies:
         dep = self.dep
         if not dep:
             dep = self.dep = [0] * len(prop.assign)
-            self.mark = [0] * len(prop.assign)
         root = lim[0] if lim else len(trail)
         if self.rooted < root:
             for x in trail[self.rooted:root]:

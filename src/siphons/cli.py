@@ -31,9 +31,9 @@ MODEL_SUFFIXES = (".rxn", ".pnml", ".xml")
 
 
 def _budget(args) -> Budget | None:
-    if not math.isfinite(args.timeout):
+    if not math.isfinite(args.timeout) or args.timeout < 0:
         raise ValueError(f"bad timeout {args.timeout!r}")
-    max_ms = args.timeout if args.timeout > 0 else None
+    max_ms = args.timeout or None
     max_conflicts = getattr(args, "max_conflicts", None)
     if max_ms is None and max_conflicts is None:
         return None

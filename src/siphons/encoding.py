@@ -7,10 +7,11 @@ rules out the empty set. Tautological clauses (from self-loops) are
 dropped and duplicate clauses are kept once.
 
 Each index is checked once, where it enters: `PetriNet.__init__` checks
-every arc, and `CnfFormula.add_clause` every literal of a clause from
-outside (DIMACS text, a caller's clause). `encode_siphon` reads the net's
-checked adjacency directly and builds its clauses without checking them
-again, and the engines attach a formula's clauses as they are.
+every arc, and `check_clause` every literal of a clause from outside
+(DIMACS text, a caller's clause) for both `CnfFormula.add_clause` and
+`Propagator.add_clause`. `encode_siphon` reads the net's checked adjacency
+directly and builds its clauses without checking them again, and the
+engines attach a formula's clauses as they are.
 """
 
 from collections.abc import Iterable, Sequence
@@ -20,6 +21,23 @@ from .reactions import ParseError
 
 Clause = tuple[int, ...]
 Assignment = tuple[bool, ...]
+
+
+def check_clause(literals: Iterable[int], num_vars: int) -> list[int] | None:
+    """The distinct literals of a clause from outside, in first-seen order,
+    or None for a tautology. Raises ValueError on a literal that is not a
+    nonzero int within +-num_vars; a bool is not a literal."""
+    out: list[int] = []
+    seen: set[int] = set()
+    for lit in literals:
+        if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0 or abs(lit) > num_vars:
+            raise ValueError(f"bad literal {lit!r}")
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+    if any(-lit in seen for lit in out):
+        return None
+    return out
 
 
 class CnfFormula:
@@ -36,18 +54,11 @@ class CnfFormula:
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False if it was a duplicate or a tautology."""
-        out: list[int] = []
-        seen: set[int] = set()
-        for lit in literals:
-            if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"bad literal {lit!r}")
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
+        out = check_clause(literals, self.num_vars)
+        if out is None:
+            return False
         if not out:
             raise ValueError("empty clause")
-        if any(-lit in seen for lit in seen):
-            return False
         if self._seen is None:
             self._seen = set(map(frozenset, self.clauses))
         key = frozenset(out)

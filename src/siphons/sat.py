@@ -2,8 +2,8 @@
 
 The solver is a small CDCL on the shared watched-literal `Propagator`
 (`search.py`, also under branch-and-bound): first-UIP conflict learning,
-each learned clause posted through `Propagator.add_clause`, which backjumps;
-a solve never starts over and never deletes a clause.
+each learned clause posted unchecked through `Propagator._post`, which
+backjumps; a solve never starts over and never deletes a clause.
 Branching is the shared fixed rule: the lowest-index unassigned
 variable, False before True.
 Each learned clause is minimized (a literal goes when every other literal
@@ -29,10 +29,11 @@ inclusion-minimal among the models left; blocking clauses remove only
 supersets of sets already found, so every model is a new minimal siphon.
 The driver posts the one-place minimal siphons as units before the first
 solve and merges them into the output without search. The model falsifies
-its blocking clause, so `Propagator.add_clause` takes it like a learned
-one, by decreasing level: the search backjumps to the clause's assertion
-level and the next solve resumes there rather than re-descending from the
-root, as all-solutions CDCL solvers do (Toda and Soh, ACM JEA 2016).
+its blocking clause, so `Propagator.add_clause` checks it and posts it
+like a learned one, by decreasing level: the search backjumps to the
+clause's assertion level and the next solve resumes there rather than
+re-descending from the root, as all-solutions CDCL solvers do (Toda and
+Soh, ACM JEA 2016).
 Branch-and-bound resumes through the same call. The levels kept are the
 ones a descent from the root would rebuild, and the clause is not unit
 below them, so the models and their order do not change.
@@ -58,22 +59,24 @@ class SatSolver(Propagator):
     The clause store, propagation, levels, reasons and branching cursor are
     the shared `Propagator`; this class adds learning, assumptions and
     `solve`. Like `assign`, the conflict-analysis mark of a variable is
-    indexed by its true literal. The formula's clauses are checked already,
-    so they are attached as they are, reordered highest variable first,
-    through the same path as `Propagator`'s; only unit clauses and the
-    clauses after one go through the root-level checks.
+    indexed by its true literal. The formula's clauses go in through the
+    store's one root intake, as `Propagator`'s do, reordered highest
+    variable first by `_stored`. A clause added between calls goes through
+    `add_clause`, which checks it; a learned clause is built in range and
+    duplicate-free, so `solve` posts it through `_post` unchecked.
     """
 
     def __init__(self, formula: CnfFormula):
-        n = formula.num_vars
-        super().__init__(CnfFormula(n))
-        self._seen = [False] * (2 * n + 1)
+        super().__init__(formula)
+        self._seen = [False] * (2 * formula.num_vars + 1)
         self.model: Assignment | None = None
         self.conflicts = 0
         self.decisions = 0
-        # Input clauses go in highest variable first (see the module docstring).
-        self._add_input_clauses(sorted(clause, key=abs, reverse=True)
-                                for clause in formula.clauses)
+
+    @staticmethod
+    def _stored(clause) -> list[int]:
+        """Input clauses go in highest variable first (see the module docstring)."""
+        return sorted(clause, key=abs, reverse=True)
 
     # -- conflict analysis ----------------------------------------------------
 
@@ -81,8 +84,8 @@ class SatSolver(Propagator):
         """The minimized first-UIP clause learned from conflict `confl`.
 
         The asserting literal comes first, the rest in the order analysis
-        met them; `add_clause` sorts them by decreasing level, backjumps to
-        the level of the second and asserts the first there.
+        met them; `_post` sorts them by decreasing level, backjumps to the
+        level of the second and asserts the first there.
         """
         # Every literal q met in a conflict or reason clause other than the
         # implied one is false, so its variable's entries sit at index -q.
@@ -166,14 +169,14 @@ class SatSolver(Propagator):
         while True:
             confl = self._propagate()
             # `conflicting` is set here only by a learned unit that
-            # `add_clause` refuted at the root.
+            # `_post` refuted at the root.
             if confl is not None or self.conflicting:
                 self.conflicts += 1
                 clock.conflicts += 1
                 if not self.decision_level:
                     self.conflicting = True
                     return SolveStatus.UNSAT
-                self.add_clause(self._analyze(confl))
+                self._post(self._analyze(confl))
                 if clock.exhausted():
                     self._cancel_until(0)
                     return SolveStatus.UNKNOWN

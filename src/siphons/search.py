@@ -5,10 +5,11 @@ loop, with the decision level and reason of every assignment:
 branch-and-bound drives it through `decide`/`backtrack` and reads the
 falsified clause for backjumping, and the SAT solver subclasses it with
 conflict learning. Both post each blocking clause through `add_clause`,
-which resumes the search at the clause's assertion level; the SAT solver
-posts its learned clauses there too. Truth values, levels and reasons are
-indexed by literal, as in MiniSat, so reading one takes no sign
-arithmetic.
+which checks it and resumes the search at the clause's assertion level;
+the SAT solver posts its learned clauses, unchecked, through the same
+`_post`. Every other clause enters by the one root intake, `_add_root`.
+Truth values, levels and reasons are indexed by literal, as in MiniSat, so
+reading one takes no sign arithmetic.
 
 `enumerate_sets` is the one enumeration driver: each engine encodes the
 net, builds its store and hands the driver a generator over it. The driver
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .encoding import CnfFormula
+from .encoding import CnfFormula, check_clause
 from .net import PetriNet, PlaceSet, format_place_set
 
 
@@ -166,7 +167,7 @@ class Propagator:
         self.conflicting = False             # a root-level clause is falsified
         self.conflict: int | None = None     # the clause the last `decide` falsified
         self.propagations = 0
-        self._add_input_clauses(map(list, formula.clauses))
+        self._add_root(map(self._stored, formula.clauses))
 
     # -- assignment bookkeeping -------------------------------------------
 
@@ -224,8 +225,26 @@ class Propagator:
 
     # -- clause management ---------------------------------------------------
 
+    @staticmethod
+    def _stored(clause) -> list[int]:
+        """A formula clause as the store keeps it: a fresh list, as ordered."""
+        return list(clause)
+
     def add_clause(self, literals) -> bool:
         """Add a permanent clause; returns False once the store is UNSAT at the root.
+
+        The literals are checked by `check_clause` before the store changes:
+        a bad one raises ValueError, and a tautology changes nothing. The
+        clause then goes in through `_post`, as the SAT solver's learned
+        clauses do.
+        """
+        clause = check_clause(literals, self.num_vars)
+        if clause is None:
+            return not self.conflicting
+        return self._post(clause)
+
+    def _post(self, clause: list[int]) -> bool:
+        """Post a duplicate-free clause in range; False once the store is UNSAT.
 
         A clause that the current assignment falsifies, as every clause the
         SAT solver learns and every blocking clause against the model just
@@ -236,86 +255,53 @@ class Propagator:
         asserts the top literal there, which the caller propagates; if two
         literals share the top level, it backjumps to the level below and
         attaches. A clause with at most one literal above level 0, and any
-        other clause, goes in at the root with the search state unwound
-        first; a unit there is propagated at once.
+        other clause, goes in by `_add_root` with the search state unwound
+        first.
         """
-        literals = list(literals)
-        num_vars = self.num_vars
-        assign = self.assign
-        if self.decision_level and all(isinstance(q, int) and 0 < abs(q) <= num_vars
-                                       and assign[q] == -1 for q in literals):
-            level = self.level
-            clause = sorted((q for q in dict.fromkeys(literals) if level[-q]),
-                            key=lambda q: level[-q], reverse=True)
-            if len(clause) >= 2:
-                top, second = level[-clause[0]], level[-clause[1]]
-                if top != second:
-                    self._cancel_until(second)
-                    self._enqueue(clause[0], self._attach(clause))
-                else:
-                    self._cancel_until(top - 1)
-                    self._attach(clause)
-                return True
-        self._cancel_until(0)
-        return self._add_root_clause(literals)
+        if self.decision_level:
+            assign = self.assign
+            if all(assign[q] == -1 for q in clause):
+                level = self.level
+                live = sorted([q for q in clause if level[-q]],
+                              key=lambda q: level[-q], reverse=True)
+                if len(live) >= 2:
+                    top, second = level[-live[0]], level[-live[1]]
+                    if top != second:
+                        self._cancel_until(second)
+                        self._enqueue(live[0], self._attach(live))
+                    else:
+                        self._cancel_until(top - 1)
+                        self._attach(live)
+                    return True
+            self._cancel_until(0)
+        return self._add_root((clause,))
 
-    def _add_root_units(self, literals) -> None:
-        """Assert unit clauses before the first decision and propagate them
-        all at once. The literals are not checked: the caller builds them
-        from the formula's variable range."""
-        if self.conflicting:
-            return
-        assign = self.assign
-        for lit in literals:
-            if assign[lit] < 0:
-                self.conflicting = True
-                return
-            if assign[lit] == 0:
-                self._enqueue(lit, None)
-        self.conflicting = self._propagate() is not None
+    def _add_root(self, clauses) -> bool:
+        """Take duplicate-free clauses in range in at the root, no decision
+        open; returns False once the store is UNSAT.
 
-    def _add_input_clauses(self, clauses) -> None:
-        """Store a CnfFormula's clauses, each a fresh list.
-
-        They are checked, duplicate- and tautology-free, so until a unit
-        clause assigns something they are attached as they are; from then
-        on each goes through the root-level path.
+        While nothing is assigned, a clause is attached as it is; from then
+        on a clause satisfied at the root is skipped and its literals false
+        there are dropped. Units are enqueued, and propagated once, after
+        the last clause.
         """
-        trail = self.trail
-        for clause in clauses:
-            if len(clause) > 1 and not trail:
-                self._attach(clause)
-            else:
-                self._add_root_clause(clause)
-
-    def _add_root_clause(self, literals) -> bool:
         if self.conflicting:
             return False
-        num_vars = self.num_vars
         assign = self.assign
-        out, seen = [], set()
-        for lit in literals:
-            if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
-                raise ValueError(f"bad literal {lit!r}")
-            if -lit in seen:
-                return True  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        live = []
-        for lit in out:
-            a = assign[lit]
-            if a == 1:
-                return True  # already satisfied at root
-            if a == 0:
-                live.append(lit)
-        if not live:
-            self.conflicting = True
-        elif len(live) == 1:
-            self._enqueue(live[0], None)
-            self.conflicting = self._propagate() is not None
-        else:
-            self._attach(live)
+        trail = self.trail
+        for clause in clauses:
+            if trail:
+                if any(assign[q] == 1 for q in clause):
+                    continue
+                clause = [q for q in clause if not assign[q]]
+            if len(clause) > 1:
+                self._attach(clause)
+            elif clause:
+                self._enqueue(clause[0], None)
+            else:
+                self.conflicting = True
+                return False
+        self.conflicting = self._propagate() is not None
         return not self.conflicting
 
     def _attach(self, clause: list[int]) -> int:
@@ -461,7 +447,7 @@ def enumerate_sets(net: PetriNet, formula: CnfFormula, store: Propagator, search
     heads = set(map(itemgetter(0), formula.clauses))
     # Heads -n..-1 and the non-emptiness clause's 1: no one-place siphon.
     units = [lit for lit in range(-n, 0) if lit not in heads] if len(heads) <= n else []
-    store._add_root_units(units)
+    store._add_root([lit] for lit in units)
     places = [-lit - 1 for lit in units]  # decreasing
     i = 0
     if clock.exhausted():

@@ -60,6 +60,26 @@ def random_net_corpus(count: int, base_seed: int = 0, max_places: int = 12,
     return nets
 
 
+def unit_closure(clauses, literals):
+    """Naive unit propagation: the closed set of true literals, or None on conflict."""
+    true = set(literals)
+    if any(-lit in true for lit in true):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            open_lits = [lit for lit in clause if -lit not in true]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                true.add(open_lits[0])
+                changed = True
+    return true
+
+
 def least_model_corpus():
     """Siphon and trap instances of a chain, 3-SAT reductions at n=20 and
     random nets of 10-30 places, drawn from a fixed seed."""

@@ -10,7 +10,8 @@ from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus,
                      gen_random_3sat, gen_random_net)
 from siphons.branch_bound import _Dependencies
 
-from conftest import enzyme_net, example2_net, least_model_order, random_net_corpus
+from conftest import (enzyme_net, example2_net, least_model_order, random_net_corpus,
+                      unit_closure)
 
 
 def test_propagate_enzyme_goldens(enzyme):
@@ -64,26 +65,6 @@ def test_propagator_root_conflict():
     assert prop.add_clause([1])
     assert not prop.add_clause([-1])
     assert prop.conflicting
-
-
-def unit_closure(clauses, literals):
-    """Naive unit propagation: the closed set of true literals, or None on conflict."""
-    true = set(literals)
-    if any(-lit in true for lit in true):
-        return None
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            if any(lit in true for lit in clause):
-                continue
-            open_lits = [lit for lit in clause if -lit not in true]
-            if not open_lits:
-                return None
-            if len(open_lits) == 1:
-                true.add(open_lits[0])
-                changed = True
-    return true
 
 
 def random_cnf(rng, num_vars):
@@ -412,3 +393,47 @@ def test_bb_traced_levels_force_the_failure(monkeypatch):
     for net in nets:
         enumerate_minimal_bb(net)
     assert len(checks) > 100 and all(checks)
+
+
+def cone_levels(prop):
+    """The levels below the current one that the clause `prop.conflict`
+    falsified depends on, by a walk back over the whole trail from its
+    literals through their reasons to the decisions they rest on. The root
+    adds only bit 0, which is not reported, so its literals are not walked."""
+    level, reason, clauses = prop.level, prop.reason, prop.clauses
+    needed = {-q for q in clauses[prop.conflict] if level[-q]}
+    levels = 0
+    for lit in reversed(prop.trail):
+        if not needed:
+            break
+        if lit in needed:
+            needed.remove(lit)
+            r = reason[lit]
+            if r is None:
+                levels |= 1 << level[lit]
+            else:
+                needed.update(-q for q in clauses[r] if q != lit and level[-q])
+    return levels & ((1 << prop.decision_level) - 2)
+
+
+def test_bb_failure_masks_are_exact(monkeypatch):
+    # Each failure's mask, those given without a trace too, is exactly the
+    # set of levels its cone over the whole trail reaches. The traps of a
+    # reduction at n=20 take about 10^6 conflicts, so they run on a budget.
+    masks = []
+    failure = _Dependencies.failure
+
+    def checked(deps):
+        levels = failure(deps)
+        masks.append((levels, cone_levels(deps.prop)))
+        return levels
+
+    monkeypatch.setattr(_Dependencies, "failure", checked)
+    runs = [(gen_chain(8), None), (gen_chain(8).dual(), None)]
+    for alpha in (3.0, 4.26, 6.0):
+        net = gen_3sat_reduction(gen_random_3sat(20, round(alpha * 20), 0))
+        runs += [(net, None), (net.dual(), Budget(max_conflicts=2000))]
+    for net, budget in runs:
+        enumerate_minimal_bb(net, budget=budget)
+    assert len(masks) > 3000
+    assert all(levels == cone for levels, cone in masks)

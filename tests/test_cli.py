@@ -156,7 +156,7 @@ def test_exit_codes(models_dir, tmp_path):
     for alpha in ("inf", "nan"):  # not a clause/variable ratio
         code, _, err = run(["sweep", "--alpha", alpha, "--trials", "1"])
         assert code == 1 and err.splitlines() == [f"error: bad alpha list {alpha!r}"]
-    for timeout in ("nan", "inf"):  # NaN would mean no budget at all
+    for timeout in ("nan", "inf", "-1"):  # NaN or -1 would mean no budget at all
         for argv in (["analyze", str(models_dir / "enzyme.rxn")],
                      ["sweep", "--alpha", "1", "--vars", "3", "--trials", "1"],
                      ["stats", str(models_dir)]):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siphons import (CnfFormula, PetriNet, blocking_clause, encode_siphon, evaluate,
+from siphons import (CnfFormula, PetriNet, Propagator, blocking_clause, encode_siphon, evaluate,
                      export_dimacs, parse_dimacs)
 
 from conftest import enzyme_net, irregular_net, random_net_corpus
@@ -53,6 +53,20 @@ def test_blocking_clause(enzyme):
     _, varmap = encode_siphon(enzyme)
     s = enzyme.place_set("A", "AE")
     assert tuple(sorted(blocking_clause(s, varmap))) == (-3, -2)
+
+
+@pytest.mark.parametrize("store", [CnfFormula, lambda n: Propagator(CnfFormula(n))],
+                         ids=["CnfFormula", "Propagator"])
+def test_add_clause_rejects_bool_literals(store):
+    # True == 1 as an int, but DIMACS would get "True" for it, which
+    # parse_dimacs rejects; a bool is no literal, as it is no place index
+    target = store(2)
+    for clause in ([True, -2], [1, False], [2, -1, True]):
+        with pytest.raises(ValueError, match="bad literal"):
+            target.add_clause(clause)
+    assert target.add_clause([1, -2])
+    if isinstance(target, CnfFormula):
+        assert parse_dimacs(export_dimacs(target)).clauses == [(1, -2)]
 
 
 def test_formula_add_clause_rules():

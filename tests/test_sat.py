@@ -9,7 +9,8 @@ from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, blocking_clause
 
 from siphons.search import Propagator
 
-from conftest import enzyme_net, example2_net, least_model_corpus, random_net_corpus
+from conftest import (enzyme_net, example2_net, least_model_corpus, random_net_corpus,
+                      unit_closure)
 
 
 def brute_force_status(formula, assumptions=()):
@@ -375,17 +376,13 @@ def test_conflict_budget_cuts_a_prefix_of_the_full_run(enumerate_, full_budget):
     assert cut > 0
 
 
-def root_built_store(cls, formula, order):
-    """A solver or propagator whose clauses all went through `_add_root_clause`."""
-    built = cls(CnfFormula(formula.num_vars))
-    for clause in formula.clauses:
-        built._add_root_clause(order(clause))
-    return built
-
-
-def test_input_clauses_are_stored_as_the_root_clause_path_stores_them():
+@pytest.mark.parametrize("engine", [Propagator, SatSolver])
+def test_input_clauses_leave_the_root_unit_closure(engine):
     # unit clauses may come anywhere: before the first long clause, between
-    # long clauses, contradicting each other, or none at all
+    # long clauses, contradicting each other, or none at all. A new store is
+    # UNSAT exactly when unit propagation refutes its formula; otherwise its
+    # trail is the closure, and every clause it holds is satisfied or
+    # watches two literals that are not false.
     rng = random.Random(21)
     units_seen = conflicts_seen = 0
     for _ in range(300):
@@ -395,13 +392,17 @@ def test_input_clauses_are_stored_as_the_root_clause_path_stores_them():
             width = 1 if num_vars == 1 or rng.random() < 0.15 else rng.randint(2, min(4, num_vars))
             vs = rng.sample(range(1, num_vars + 1), width)
             formula.add_clause([v if rng.random() < 0.5 else -v for v in vs])
-        for cls, order in ((SatSolver, lambda c: sorted(c, key=abs, reverse=True)),
-                           (Propagator, list)):
-            direct = cls(formula)
-            built = root_built_store(cls, formula, order)
-            for name in ("clauses", "spans", "watches", "trail", "assign", "level",
-                         "reason", "conflicting"):
-                assert getattr(direct, name) == getattr(built, name), name
+        store = engine(formula)
+        closure = unit_closure(formula.clauses, [])
+        assert store.conflicting == (closure is None)
         units_seen += any(len(c) == 1 for c in formula.clauses)
-        conflicts_seen += direct.conflicting
+        conflicts_seen += store.conflicting
+        if closure is None:
+            continue
+        assert set(store.trail) == closure and len(store.trail) == len(closure)
+        assign = store.assign
+        for ci, clause in enumerate(store.clauses):
+            assert ci in store.watches[clause[0]] and ci in store.watches[clause[1]]
+            assert 1 in (assign[q] for q in clause) or -1 not in (assign[clause[0]],
+                                                                  assign[clause[1]])
     assert units_seen > 50 and conflicts_seen > 5

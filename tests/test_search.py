@@ -5,6 +5,7 @@ import pytest
 from siphons import (EnumerationResult, PetriNet, brute_force_minimal_siphons,
                      enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check,
                      gen_3sat_reduction, gen_chain, gen_random_3sat)
+from siphons.reactions import export_reactions, parse_reactions
 from siphons.search import Budget, accept
 
 from conftest import (enzyme_cascade, least_model_corpus, least_model_order, random_net_corpus,
@@ -185,7 +186,10 @@ def test_enzyme_cascade_has_one_two_place_set_per_stage(k):
      (232, 233, 584, 12928), (232, 233, 4794, 22434)),
     (lambda: gen_3sat_reduction(gen_random_3sat(50, 300, 0)),
      (50, 51, 119, 1356), (50, 51, 352, 1994)),
-], ids=["chain10", "chain10-traps", "reduction50-213", "reduction50-300"])
+    # CI's red8.rxn: in .rxn place order bb needs its long backjumps here.
+    (lambda: parse_reactions(export_reactions(gen_3sat_reduction(gen_random_3sat(8, 34, 0))))[0],
+     (9, 10, 26, 67), (9, 10, 12532, 28803)),
+], ids=["chain10", "chain10-traps", "reduction50-213", "reduction50-300", "red8-rxn"])
 def test_effort_counters_are_pinned(make, sat_counts, bb_counts):
     # (sets, solve calls, conflicts, decisions) of each engine. The counters
     # are deterministic, so a change to the search paths that alters the
