@@ -37,8 +37,8 @@ def enumerate_minimal_siphons(net: PetriNet, engine: str = "sat",
         return enumerate_minimal_bb(net, budget=budget, trace=trace)
     if engine == "oracle":
         clock = BudgetClock(budget)
-        sets, timed_out = _oracle(net, net.pre_transitions, net.post_transitions, clock)
-        stats = SearchStats(solve_calls=1, elapsed_ms=clock.elapsed_ms, timed_out=timed_out)
+        sets = _oracle(net, net.pre_transitions, net.post_transitions, clock)
+        stats = SearchStats(solve_calls=1, elapsed_ms=clock.elapsed_ms, timed_out=clock.timed_out)
         return EnumerationResult(sets=sets, stats=stats)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
@@ -78,9 +78,9 @@ def max_trap_within(net: PetriNet, s: Iterable[int]) -> PlaceSet:
 
 
 def _oracle(net: PetriNet, predicate_pre, predicate_post,
-            clock: BudgetClock | None = None) -> tuple[list[PlaceSet], bool]:
+            clock: BudgetClock | None = None) -> list[PlaceSet]:
     """Inclusion-minimal nonempty place sets passing pre<=post, in canonical
-    order, and whether the clock ran out before the scan finished.
+    order. A scan cut short by `clock` leaves `clock.timed_out` set.
 
     Masks are scanned in increasing order and every submask of a mask is
     numerically smaller, so the sets kept from a scan cut short by the clock
@@ -88,7 +88,7 @@ def _oracle(net: PetriNet, predicate_pre, predicate_post,
     """
     n = len(net.places)
     if n == 0:
-        return [], False
+        return []
     if n > ORACLE_MAX_PLACES:
         raise ValueError(f"net has {n} places; brute force is capped at {ORACLE_MAX_PLACES}")
     pre = [0] * n
@@ -99,10 +99,8 @@ def _oracle(net: PetriNet, predicate_pre, predicate_post,
         for t in predicate_post(p):
             post[p] |= 1 << t
     hits = []
-    timed_out = False
     for mask in range(1, 1 << n):
         if mask & 4095 == 0 and clock is not None and clock.exhausted():
-            timed_out = True
             break
         pre_u = 0
         post_u = 0
@@ -121,17 +119,17 @@ def _oracle(net: PetriNet, predicate_pre, predicate_post,
         if not any(kept & mask == kept for kept in minimal):
             minimal.append(mask)
     sets = [frozenset(p for p in range(n) if mask >> p & 1) for mask in minimal]
-    return canonical_order(net, sets), timed_out
+    return canonical_order(net, sets)
 
 
 def brute_force_minimal_siphons(net: PetriNet) -> list[PlaceSet]:
     """Oracle: scan all nonempty place subsets; practical up to ~15 places."""
-    return _oracle(net, net.pre_transitions, net.post_transitions)[0]
+    return _oracle(net, net.pre_transitions, net.post_transitions)
 
 
 def brute_force_minimal_traps(net: PetriNet) -> list[PlaceSet]:
     """Trap oracle built directly on the trap condition, no dualization."""
-    return _oracle(net, net.post_transitions, net.pre_transitions)[0]
+    return _oracle(net, net.post_transitions, net.pre_transitions)
 
 
 @dataclass

@@ -21,14 +21,14 @@ branches share the failure, so only subtrees with no solution are skipped,
 and the solutions and their order do not change. No clause is learned: the
 only clauses added are the blocking clauses.
 
-The search is a generator under the shared driver, `search.enumerate_sets`.
-It asks the run's one `BudgetClock` after each solution and after each
-backjump, so it stops at `max_conflicts` as the SAT engine does.
+The search is a generator under the shared driver, `search.enumerate_sets`,
+which asks the run's one `BudgetClock` after each solution. The search asks
+it after each backjump, so it stops at `max_conflicts` as the SAT engine does.
 """
 
 from .encoding import blocking_clause, encode_siphon
 from .net import PetriNet
-from .search import Budget, BudgetClock, EnumerationResult, Propagator, SearchStats, enumerate_sets
+from .search import Budget, BudgetClock, EnumerationResult, Propagator, enumerate_sets
 
 
 class _Dependencies:
@@ -102,17 +102,17 @@ class _Dependencies:
             self.valid = upto
 
 
-def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, emit):
-    """Yield the place set of each solution of the 0-first search, in order.
+def _search(prop: Propagator, varmap, clock: BudgetClock, emit):
+    """Yield the place set of each solution of the 0-first search, in order,
+    with its non-superset clause already posted.
 
     A conflict backjumps to the deepest decision it depends on (see the
-    module docstring). After a solution the search resumes at its
-    non-superset clause's assertion level and replays only the decisions
-    above it. Solve calls and decisions go into `stats` and conflicts onto
-    `clock`. The search ends when a conflict depends on no decision, or,
-    flagged `stats.timed_out`, when `clock` is exhausted after a solution or
-    a backjump. A store that is already UNSAT at the root ends it with no
-    conflict counted, as in the SAT engine.
+    module docstring). After a solution the search resumes at the clause's
+    assertion level and replays only the decisions above it. Conflicts go
+    onto `clock`. The search ends when a conflict depends on no decision,
+    when a clause leaves the store UNSAT at the root, or when `clock` is
+    exhausted after a backjump. A store that is already UNSAT at the root
+    ends it with no conflict counted, as in the SAT engine.
     """
     # One entry per decision level: (var, value, failure). A 0-branch still
     # has its 1-branch pending; a 1-branch carries the levels its 0-branch's
@@ -122,12 +122,10 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
 
     def decide(var, value, failure=0):
         stack.append((var, value, failure))
-        stats.decisions += 1
         if emit:
             emit(f"D {var}={1 if value else 0} {len(stack)}")
         return prop.decide(var, value)
 
-    stats.solve_calls = 1
     consistent = True
     if prop.conflicting:
         return
@@ -178,20 +176,16 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, stats: SearchStats, em
                     break
                 failure = levels
             if clock.exhausted():
-                stats.timed_out = True
                 break
             if deps.valid > depth:
                 deps.valid = depth
             consistent = decide(var, True, failure)
         elif prop.all_assigned():
             found = frozenset(varmap.place(v) for v in prop.true_vars())
+            prop.add_clause(blocking_clause(found, varmap))
             yield found
-            stats.solve_calls += 1
-            if not prop.add_clause(blocking_clause(found, varmap)):
-                break  # a root conflict ends the enumeration
-            if clock.exhausted():
-                stats.timed_out = True
-                break
+            if prop.conflicting:
+                return  # a root conflict ends the enumeration
             # The clause sent the search back to its assertion level and
             # asserted its top literal there; that level's masks are refilled
             # by the next trace, and the levels below are as they were. The
@@ -235,7 +229,7 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     formula, varmap = encode_siphon(net)
     prop = Propagator(formula)
     return enumerate_sets(net, formula, prop,
-                          lambda clock, stats: _search(prop, varmap, clock, stats, emit),
+                          lambda clock: _search(prop, varmap, clock, emit),
                           budget, emit)
 
 

@@ -76,7 +76,8 @@ class CnfFormula:
 
 
 class VarMap:
-    """The fixed bijection between place indices and DIMACS variables."""
+    """The fixed bijection between place indices and DIMACS variables.
+    An index must be an int: `type(...) is int` rejects a bool too."""
 
     def __init__(self, place_names: Sequence[str]):
         self.names = tuple(place_names)
@@ -86,12 +87,12 @@ class VarMap:
         return len(self.names)
 
     def var(self, place: int) -> int:
-        if not 0 <= place < len(self.names):
+        if type(place) is not int or not 0 <= place < len(self.names):
             raise ValueError(f"invalid place index {place!r}")
         return place + 1
 
     def place(self, var: int) -> int:
-        if not 1 <= var <= len(self.names):
+        if type(var) is not int or not 1 <= var <= len(self.names):
             raise ValueError(f"invalid variable {var!r}")
         return var - 1
 

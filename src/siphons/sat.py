@@ -17,8 +17,9 @@ assignment frontier.
 
 Enumeration solves, posts a clause that excludes the found set and all its
 supersets, and repeats until UNSAT or the budget runs out. It is a
-generator under the shared driver (`search.enumerate_sets`), and every
-solve counts its conflicts on the run's one `BudgetClock`. Each solve
+generator under the shared driver (`search.enumerate_sets`), which counts
+the solves and asks the run's one `BudgetClock` after each set; each solve
+counts its conflicts on the clock and asks it after each of them. Each solve
 returns the lexicographically least model of the clause store (False below
 True). Only the branching rule matters for that, the lowest-index variable
 and the 0-first phase, with sound propagation: if the model found first
@@ -43,8 +44,7 @@ from enum import Enum
 
 from .encoding import Assignment, CnfFormula, blocking_clause, encode_siphon
 from .net import PetriNet
-from .search import (Budget, BudgetClock, EnumerationResult, Propagator, SearchStats,
-                     enumerate_sets)
+from .search import Budget, BudgetClock, EnumerationResult, Propagator, enumerate_sets
 
 
 class SolveStatus(Enum):
@@ -71,7 +71,6 @@ class SatSolver(Propagator):
         self._seen = [False] * (2 * formula.num_vars + 1)
         self.model: Assignment | None = None
         self.conflicts = 0
-        self.decisions = 0
 
     @staticmethod
     def _stored(clause) -> list[int]:
@@ -159,7 +158,8 @@ class SatSolver(Propagator):
             return SolveStatus.UNSAT
         assumptions = tuple(assumptions)
         for lit in assumptions:
-            if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
+            if (not isinstance(lit, int) or isinstance(lit, bool) or lit == 0
+                    or abs(lit) > self.num_vars):
                 raise ValueError(f"bad assumption {lit!r}")
         if assumptions:
             self._cancel_until(0)
@@ -217,21 +217,12 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
     formula, varmap = encode_siphon(net)
     solver = SatSolver(formula)
 
-    def search(clock: BudgetClock, stats: SearchStats):
-        # Solve, yield the model's place set, block it and its supersets,
-        # and repeat until UNSAT or the budget runs out.
-        while True:
-            status = solver.solve(budget=clock)
-            stats.solve_calls += 1
-            if status is not SolveStatus.SAT:
-                stats.timed_out = status is SolveStatus.UNKNOWN
-                break
+    def search(clock: BudgetClock):
+        # Solve, block the model's place set and its supersets, yield the
+        # set, and repeat until UNSAT or the budget runs out.
+        while solver.solve(budget=clock) is SolveStatus.SAT:
             found = varmap.true_places(solver.model)
-            yield found
             solver.add_clause(blocking_clause(found, varmap))
-            if clock.exhausted():
-                stats.timed_out = True
-                break
-        stats.decisions = solver.decisions
+            yield found
 
     return enumerate_sets(net, formula, solver, search, budget)

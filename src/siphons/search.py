@@ -12,10 +12,10 @@ Truth values, levels and reasons are indexed by literal, as in MiniSat, so
 reading one takes no sign arithmetic.
 
 `enumerate_sets` is the one enumeration driver: each engine encodes the
-net, builds its store and hands the driver a generator over it. The driver
-owns the run's `BudgetClock`, the one budget check of both engines, settles
-the one-place minimal siphons without search, certifies every set with
-`accept` and fills in the stats. Also here: budgets, stats and results.
+net, builds its store and hands the driver a generator that only searches.
+The driver owns the run's `BudgetClock`, settles the one-place minimal
+siphons, certifies every set with `accept`, cuts the run between sets and
+fills in every stat. Also here: budgets, stats and results.
 """
 
 import time
@@ -42,7 +42,8 @@ class Budget:
 
 class BudgetClock:
     """The one budget check of an enumeration run, shared by all its solves
-    (see `enumerate_sets` for how the engines use it)."""
+    (see `enumerate_sets`). `exhausted()` latches: once it returns True,
+    `timed_out` is True and it keeps returning True."""
 
     def __init__(self, budget: Budget | None):
         budget = budget or Budget()
@@ -50,36 +51,39 @@ class BudgetClock:
         self.conflicts = 0
         self.max_conflicts = budget.max_conflicts
         self.deadline = None if budget.max_ms is None else self.start + budget.max_ms / 1000.0
+        self.timed_out = False
 
     @property
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.start) * 1000.0
 
     def exhausted(self) -> bool:
-        if self.max_conflicts is not None and self.conflicts >= self.max_conflicts:
-            return True
-        return self.deadline is not None and time.perf_counter() >= self.deadline
+        if (self.max_conflicts is not None and self.conflicts >= self.max_conflicts
+                or self.deadline is not None and time.perf_counter() >= self.deadline):
+            self.timed_out = True
+        return self.timed_out
 
 
 @dataclass
 class SearchStats:
     """Effort counters for an enumeration run.
 
-    Both engines resume after each set at its blocking clause's assertion
-    level, so `decisions` counts only the decisions made after each resume,
-    and `solve_calls` is one per searched set plus the first descent. A
-    one-place set is not searched for (see `enumerate_sets`), so it adds to
-    no counter. The SAT engine counts solver invocations, conflicts and
-    decisions. The branch-and-bound engine reports decision nodes in
-    `decisions`, including the path decisions it re-makes above the
-    assertion level, and falsified clauses in `conflicts` (one per failure,
+    The driver `enumerate_sets` fills them; no engine sees them. It counts
+    `solve_calls`: one for the first descent and one for each resume after
+    a set, so a complete run has one per searched set plus one. A one-place
+    set is not searched for, so it adds to no counter. Both engines resume
+    after each set at its blocking clause's assertion level, so `decisions`,
+    read off the store, counts only the decisions made after each resume;
+    for branch-and-bound that includes the path decisions it re-makes above
+    the assertion level. The SAT engine's `conflicts` are its solver's; the
+    branch-and-bound engine's are falsified clauses (one per failure,
     however many levels its backjump pops).
 
     `conflicts` is the count on the run's `BudgetClock`: under
     `Budget(max_conflicts=k)` either engine stops at k. The conflict that
     ends a search, proving that no set is left, counts but is no cut.
     `timed_out` means that completeness was not proven: the sets are a
-    prefix of the full list, which may hold more.
+    prefix of the full list, which may hold more. It is the clock's latch.
     """
 
     solve_calls: int = 0
@@ -138,13 +142,14 @@ class Propagator:
 
     `assign` has 2n+1 entries indexed by literal, as in MiniSat:
     `assign[lit]` is 1 if lit is true, -1 if false, 0 if unassigned. A
-    negative literal wraps into the top half, so an out-of-range one does
-    not raise: every public entry checks its variables first. `level` and
-    `reason` are kept under the true literal: the decision level at which
-    it was assigned, and the index of the clause that forced it (None for a
-    decision or a root unit).
+    negative literal wraps into the top half, and True indexes as 1, so
+    every public entry checks that a variable is an int in range. `level`
+    and `reason` are kept under the true literal: the decision level at
+    which it was assigned, and the index of the clause that forced it (None
+    for a decision or a root unit).
     Branching takes the lowest-index unassigned variable, found by a cursor
-    below which every variable is assigned.
+    below which every variable is assigned. `decisions` counts each `decide`
+    and each SAT branch, `propagations` each literal `_propagate` assigns.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -167,12 +172,13 @@ class Propagator:
         self.conflicting = False             # a root-level clause is falsified
         self.conflict: int | None = None     # the clause the last `decide` falsified
         self.propagations = 0
+        self.decisions = 0
         self._add_root(map(self._stored, formula.clauses))
 
     # -- assignment bookkeeping -------------------------------------------
 
     def value(self, var: int) -> bool | None:
-        if not 1 <= var <= self.num_vars:
+        if type(var) is not int or not 1 <= var <= self.num_vars:
             raise ValueError(f"invalid variable {var!r}")
         a = self.assign[var]
         return None if a == 0 else a > 0
@@ -381,12 +387,13 @@ class Propagator:
         the falsified clause's index left in `conflict`."""
         # `value` and `_enqueue`, inlined: this runs once per
         # branch-and-bound node.
-        if not 1 <= var <= self.num_vars:
+        if type(var) is not int or not 1 <= var <= self.num_vars:
             raise ValueError(f"invalid variable {var!r}")
         assign = self.assign
         if assign[var]:
             raise ValueError(f"variable {var} is already assigned")
         lit = var if value else -var
+        self.decisions += 1
         trail = self.trail
         self.trail_lim.append(len(trail))
         self.decision_level += 1
@@ -412,12 +419,14 @@ def enumerate_sets(net: PetriNet, formula: CnfFormula, store: Propagator, search
     siphons merged in, each certified by `accept` and passed to `emit`, if
     given, as an `S {places}` line.
 
-    `search(clock, stats)` is a generator that yields the engine's sets in
-    order and posts each one's blocking clause when resumed. It counts its
-    solve calls and decisions in `stats` and its conflicts on `clock`, and
-    stops with `stats.timed_out` set when `clock.exhausted()` after a set or
-    after a conflict that does not end the search. The driver fills in
-    `stats.conflicts` and `stats.elapsed_ms`, which covers the last set.
+    `search(clock)` is a generator that only searches: it yields the
+    engine's sets in order, each with its blocking clause already posted,
+    counts its conflicts on `clock` and stops when `clock.exhausted()` after
+    a conflict that does not end the search. The driver counts a solve call
+    for the first descent and one for each resume after a set. It asks the
+    clock after each set, unless the store is UNSAT at the root, where the
+    resumed engine ends the run complete. It fills in every stat, the
+    `elapsed_ms` covering the last set.
 
     A place p whose producers all consume p, or that has none, is the
     minimal siphon {p}, and no other minimal siphon contains p. In
@@ -450,18 +459,22 @@ def enumerate_sets(net: PetriNet, formula: CnfFormula, store: Propagator, search
     store._add_root([lit] for lit in units)
     places = [-lit - 1 for lit in units]  # decreasing
     i = 0
-    if clock.exhausted():
-        stats.timed_out = True
-    else:
-        for s in search(clock, stats):
+    if not clock.exhausted():
+        stats.solve_calls = 1
+        for s in search(clock):
             least = min(s)
             while i < len(places) and places[i] > least:
                 take(frozenset((places[i],)))
                 i += 1
             take(s)
-    if not stats.timed_out:
+            if not store.conflicting and clock.exhausted():
+                break
+            stats.solve_calls += 1
+    if not clock.timed_out:
         for p in places[i:]:
             take(frozenset((p,)))
+    stats.timed_out = clock.timed_out
     stats.conflicts = clock.conflicts
+    stats.decisions = store.decisions
     stats.elapsed_ms = clock.elapsed_ms
     return result

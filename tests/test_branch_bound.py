@@ -186,18 +186,19 @@ def test_kernel_rejects_out_of_range_variables(engine):
     f = CnfFormula(n)
     f.add_clause([1, -2])
     prop = engine(f)
-    for bad in (0, -1, -n, n + 1, -(n + 1)):
+    # and a bool is no variable, though True == 1
+    for bad in (0, -1, -n, n + 1, -(n + 1), True, False):
         with pytest.raises(ValueError):
             prop.value(bad)
-    for bad in (-1, -n, 0, n + 1):
+    for bad in (-1, -n, 0, n + 1, True, False):
         with pytest.raises(ValueError):
             prop.decide(bad, True)
     assert prop.num_assigned == 0 and not prop.trail_lim
-    for bad in (n + 1, -(n + 1), 0):
+    for bad in (n + 1, -(n + 1), 0, True, False):
         with pytest.raises(ValueError):
             prop.add_clause([1, bad])
     if isinstance(prop, SatSolver):
-        for bad in (n + 1, -(n + 1), 0):
+        for bad in (n + 1, -(n + 1), 0, True, False):
             with pytest.raises(ValueError):
                 prop.solve(assumptions=[bad])
         assert prop.solve() == SolveStatus.SAT

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siphons import (CnfFormula, PetriNet, Propagator, blocking_clause, encode_siphon, evaluate,
-                     export_dimacs, parse_dimacs)
+from siphons import (CnfFormula, PetriNet, Propagator, VarMap, blocking_clause, encode_siphon,
+                     evaluate, export_dimacs, parse_dimacs)
 
 from conftest import enzyme_net, irregular_net, random_net_corpus
 
@@ -67,6 +67,20 @@ def test_add_clause_rejects_bool_literals(store):
     assert target.add_clause([1, -2])
     if isinstance(target, CnfFormula):
         assert parse_dimacs(export_dimacs(target)).clauses == [(1, -2)]
+
+
+def test_varmap_rejects_indices_out_of_range_and_bools():
+    # True == 1 as an int, so a range check alone takes True as place 1
+    # and as variable 1
+    varmap = VarMap(["a", "b"])
+    assert [varmap.var(p) for p in (0, 1)] == [1, 2]
+    assert [varmap.place(v) for v in (1, 2)] == [0, 1]
+    for bad in (-1, 2, True, False, 1.0):
+        with pytest.raises(ValueError, match="invalid place index"):
+            varmap.var(bad)
+    for bad in (0, 3, True, False, 1.0):
+        with pytest.raises(ValueError, match="invalid variable"):
+            varmap.place(bad)
 
 
 def test_formula_add_clause_rules():

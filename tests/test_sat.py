@@ -361,6 +361,9 @@ def test_enumeration_matches_a_fresh_solve_per_set():
 def test_conflict_budget_cuts_a_prefix_of_the_full_run(enumerate_, full_budget):
     # One conflict budget for the whole run, which both engines stop at. A
     # run not flagged timed out is the full list; a flagged one is a prefix.
+    # Both engines check the budget after every conflict, so a conflict
+    # budget cuts a run inside a search, never between sets: the solve call
+    # that was cut counts, as the last one of a complete run does.
     cut = 0
     for net in least_model_corpus():
         full = enumerate_(net, budget=full_budget)
@@ -370,6 +373,7 @@ def test_conflict_budget_cuts_a_prefix_of_the_full_run(enumerate_, full_budget):
             res = enumerate_(net, budget=Budget(max_conflicts=k))
             assert res.stats.conflicts <= k
             assert res.sets == full.sets[:len(res.sets)]
+            assert res.stats.solve_calls == sum(len(s) > 1 for s in res.sets) + 1
             if not res.stats.timed_out:
                 assert res.sets == full.sets
             cut += len(res.sets) < len(full.sets)

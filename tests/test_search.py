@@ -6,7 +6,8 @@ from siphons import (EnumerationResult, PetriNet, brute_force_minimal_siphons,
                      enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check,
                      gen_3sat_reduction, gen_chain, gen_random_3sat)
 from siphons.reactions import export_reactions, parse_reactions
-from siphons.search import Budget, accept
+from siphons import search
+from siphons.search import Budget, BudgetClock, accept
 
 from conftest import (enzyme_cascade, least_model_corpus, least_model_order, random_net_corpus,
                       singleton_heavy_nets)
@@ -154,6 +155,41 @@ def test_a_cut_run_drops_the_pending_one_place_sets(enumerate_):
             assert res.stats.timed_out
             dropped += len(full[len(res.sets)]) == 1
     assert dropped
+
+
+@pytest.mark.parametrize("k, sat_cut, bb_cut", [
+    (1, (True, 1, 1), (True, 1, 1)),
+    # SAT's last blocking clause leaves its store UNSAT at the root, so the
+    # run is complete with no clock asked; bb's store still needs a search.
+    (256, (False, 256, 257), (True, 256, 256)),
+])
+def test_a_run_cut_right_after_a_set(monkeypatch, k, sat_cut, bb_cut):
+    # The deadline passes as the k-th set is accepted. The driver asks the
+    # clock after each set and counts a solve call only when it resumes the
+    # engine, so either engine cut there reports k sets and k solve calls.
+    # Every one of gen_chain(8)'s 256 minimal siphons is searched for.
+    accepted = 0
+
+    def counting_accept(net, result, s):
+        nonlocal accepted
+        accept(net, result, s)
+        accepted += 1
+
+    exhausted = BudgetClock.exhausted
+
+    def deadline_after_k_sets(clock):
+        if accepted >= k:
+            clock.deadline = 0.0
+        return exhausted(clock)
+
+    monkeypatch.setattr(search, "accept", counting_accept)
+    monkeypatch.setattr(BudgetClock, "exhausted", deadline_after_k_sets)
+    net = gen_chain(8)
+    for enumerate_, cut in ((enumerate_minimal_sat, sat_cut), (enumerate_minimal_bb, bb_cut)):
+        accepted = 0
+        res = enumerate_(net)
+        assert (res.stats.timed_out, len(res.sets), res.stats.solve_calls) == cut
+        assert all(len(s) > 1 for s in res.sets)
 
 
 def test_first_solution_is_the_merged_first_set():
