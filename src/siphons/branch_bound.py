@@ -126,28 +126,32 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, emit):
             emit(f"D {var}={1 if value else 0} {len(stack)}")
         return prop.decide(var, value)
 
+    def pop():
+        # Undo the deepest level; its masks go with it.
+        entry = stack.pop()
+        prop.backtrack()
+        deps.valid = min(deps.valid, len(stack))
+        if emit:
+            emit(f"B {len(stack)}")
+        return entry
+
     consistent = True
     if prop.conflicting:
         return
     while True:
         if not consistent:
             clock.conflicts += 1
-            depth = len(stack)
-            if not depth:
+            if not stack:
                 break  # a conflict at the root: nothing is left
             var, value, recorded = stack[-1]
-            if value and recorded == (1 << depth) - 2:
+            if value and recorded == (1 << len(stack)) - 2:
                 # A 1-branch whose 0-branch depended on every level below:
                 # the jump is to the level below, whatever this failure
                 # depended on.
                 failure = recorded
             else:
                 failure = deps.failure()
-            stack.pop()
-            prop.backtrack()
-            depth -= 1
-            if emit:
-                emit(f"B {depth}")
+            pop()
             if value:
                 # Both branches failed: unwind to the deepest level below
                 # that either failure depends on. A 0-branch there flips to
@@ -157,28 +161,19 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, emit):
                 levels = failure | recorded
                 while levels:
                     top = levels.bit_length() - 1
-                    while depth >= top:
-                        var, value, recorded = stack.pop()
-                        prop.backtrack()
-                        depth -= 1
-                        if emit:
-                            emit(f"B {depth}")
+                    while len(stack) >= top:
+                        var, value, recorded = pop()
                     levels ^= 1 << top
                     if not value:
                         break
                     levels |= recorded
                 else:
                     while stack:
-                        stack.pop()
-                        prop.backtrack()
-                        if emit:
-                            emit(f"B {len(stack)}")
+                        pop()
                     break
                 failure = levels
             if clock.exhausted():
                 break
-            if deps.valid > depth:
-                deps.valid = depth
             consistent = decide(var, True, failure)
         elif prop.all_assigned():
             found = frozenset(varmap.place(v) for v in prop.true_vars())
@@ -228,7 +223,7 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
         emit = lambda line: print(line, file=trace)
     formula, varmap = encode_siphon(net)
     prop = Propagator(formula)
-    return enumerate_sets(net, formula, prop,
+    return enumerate_sets(net, prop,
                           lambda clock: _search(prop, varmap, clock, emit),
                           budget, emit)
 

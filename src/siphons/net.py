@@ -6,7 +6,7 @@ from collections.abc import Iterable, Mapping, Sequence
 Marking = tuple[int, ...]
 PlaceSet = frozenset[int]
 
-_INT = frozenset({int})  # the one element type `PetriNet._check_set` passes in C
+_INT = frozenset({int})  # the one element type `_check_set` and `_check_marking` pass in C
 
 
 class NotEnabledError(ValueError):
@@ -211,7 +211,7 @@ class PetriNet:
         """Marking tuple from a name->count mapping; unnamed places get 0."""
         m = [0] * len(self.places)
         for name, k in (counts or {}).items():
-            if not isinstance(k, int) or k < 0:
+            if type(k) is not int or k < 0:
                 raise ValueError(f"token count for {name!r} must be a nonnegative int")
             m[self.place_index(name)] = k
         return tuple(m)
@@ -224,6 +224,8 @@ class PetriNet:
     def _check_marking(self, m: Marking) -> Marking:
         if len(m) != len(self.places):
             raise ValueError(f"marking has length {len(m)}, expected {len(self.places)}")
+        if not _INT.issuperset(map(type, m)):
+            raise ValueError("marking has a token count that is not an int")
         if any(k < 0 for k in m):
             raise ValueError("marking has a negative token count")
         return m

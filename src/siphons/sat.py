@@ -198,11 +198,7 @@ class SatSolver(Propagator):
                     if n_assumptions:
                         self._cancel_until(0)
                     return SolveStatus.SAT
-                var = self._pick_branch()
-                self.decisions += 1
-                self.trail_lim.append(len(self.trail))
-                self.decision_level += 1
-                self._enqueue(-var, None)
+                self._open_level(-self._pick_branch())
 
 
 def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> EnumerationResult:
@@ -225,4 +221,4 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
             solver.add_clause(blocking_clause(found, varmap))
             yield found
 
-    return enumerate_sets(net, formula, solver, search, budget)
+    return enumerate_sets(net, solver, search, budget)

@@ -20,7 +20,7 @@ fills in every stat. Also here: budgets, stats and results.
 
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
+from numbers import Real
 
 from .encoding import CnfFormula, check_clause
 from .net import PetriNet, PlaceSet, format_place_set
@@ -34,10 +34,12 @@ class Budget:
     max_ms: float | None = None
 
     def __post_init__(self):
-        if self.max_conflicts is not None and self.max_conflicts < 0:
-            raise ValueError("max_conflicts must be >= 0")
-        if self.max_ms is not None and not self.max_ms >= 0:  # NaN too
-            raise ValueError("max_ms must be >= 0")
+        conflicts, ms = self.max_conflicts, self.max_ms
+        if conflicts is not None and (type(conflicts) is not int or conflicts < 0):
+            raise ValueError("max_conflicts must be an int >= 0")
+        if ms is not None and (isinstance(ms, bool) or not isinstance(ms, Real)
+                               or not ms >= 0):  # NaN too
+            raise ValueError("max_ms must be a number >= 0")
 
 
 class BudgetClock:
@@ -148,8 +150,9 @@ class Propagator:
     which it was assigned, and the index of the clause that forced it (None
     for a decision or a root unit).
     Branching takes the lowest-index unassigned variable, found by a cursor
-    below which every variable is assigned. `decisions` counts each `decide`
-    and each SAT branch, `propagations` each literal `_propagate` assigns.
+    below which every variable is assigned. `decisions` counts each level
+    `_open_level` opens, for a `decide` or a SAT branch, and `propagations`
+    each literal `_propagate` assigns.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -200,6 +203,18 @@ class Propagator:
         self.level[lit] = self.decision_level
         self.reason[lit] = reason
         self.trail.append(lit)
+
+    def _open_level(self, lit: int) -> None:
+        """Count a decision, open its level and assign lit true there."""
+        self.decisions += 1
+        trail = self.trail
+        self.trail_lim.append(len(trail))
+        self.decision_level += 1
+        self.assign[lit] = 1
+        self.assign[-lit] = -1
+        self.level[lit] = self.decision_level
+        self.reason[lit] = None
+        trail.append(lit)
 
     def _cancel_until(self, target: int) -> None:
         """Unassign every decision level above `target`."""
@@ -385,23 +400,11 @@ class Propagator:
     def decide(self, var: int, value: bool) -> bool:
         """Open a decision level, assign, propagate; False on conflict, with
         the falsified clause's index left in `conflict`."""
-        # `value` and `_enqueue`, inlined: this runs once per
-        # branch-and-bound node.
         if type(var) is not int or not 1 <= var <= self.num_vars:
             raise ValueError(f"invalid variable {var!r}")
-        assign = self.assign
-        if assign[var]:
+        if self.assign[var]:
             raise ValueError(f"variable {var} is already assigned")
-        lit = var if value else -var
-        self.decisions += 1
-        trail = self.trail
-        self.trail_lim.append(len(trail))
-        self.decision_level += 1
-        assign[lit] = 1
-        assign[-lit] = -1
-        self.level[lit] = self.decision_level
-        self.reason[lit] = None
-        trail.append(lit)
+        self._open_level(var if value else -var)
         self.conflict = self._propagate()
         return self.conflict is None
 
@@ -412,12 +415,12 @@ class Propagator:
         self._cancel_until(self.decision_level - 1)
 
 
-def enumerate_sets(net: PetriNet, formula: CnfFormula, store: Propagator, search,
+def enumerate_sets(net: PetriNet, store: Propagator, search,
                    budget: Budget | None, emit=None) -> EnumerationResult:
-    """Run an engine's search over `store`, which holds `formula`, the
-    encoding of `net`, and return its sets with the one-place minimal
-    siphons merged in, each certified by `accept` and passed to `emit`, if
-    given, as an `S {places}` line.
+    """Run an engine's search over `store`, which holds the encoding of
+    `net`, and return its sets with the one-place minimal siphons merged
+    in, each certified by `accept` and passed to `emit`, if given, as an
+    `S {places}` line.
 
     `search(clock)` is a generator that only searches: it yields the
     engine's sets in order, each with its blocking clause already posted,
@@ -429,12 +432,11 @@ def enumerate_sets(net: PetriNet, formula: CnfFormula, store: Propagator, search
     `elapsed_ms` covering the last set.
 
     A place p whose producers all consume p, or that has none, is the
-    minimal siphon {p}, and no other minimal siphon contains p. In
-    `encode_siphon`'s formula it is a variable that no clause negates: a
-    clause negates only its first literal, so these are read off the clause
-    heads in one pass. The units -p go into `store` together, at the root,
-    before the search starts, so it finds the other minimal siphons and
-    never branches on such a p.
+    minimal siphon {p}, and no other minimal siphon contains p: these are
+    read off the net's adjacency, as the places whose producer set lies
+    inside their consumer set. The units -(p + 1) go into `store` together,
+    at the root, before the search starts, so it finds the other minimal
+    siphons and never branches on such a p.
 
     Both engines emit sets in increasing lexicographic order of their
     characteristic vectors (variable 1 most significant, 0 before 1), that
@@ -452,12 +454,9 @@ def enumerate_sets(net: PetriNet, formula: CnfFormula, store: Propagator, search
         if emit:
             emit("S " + format_place_set(net, s))
 
-    n = formula.num_vars
-    heads = set(map(itemgetter(0), formula.clauses))
-    # Heads -n..-1 and the non-emptiness clause's 1: no one-place siphon.
-    units = [lit for lit in range(-n, 0) if lit not in heads] if len(heads) <= n else []
-    store._add_root([lit] for lit in units)
-    places = [-lit - 1 for lit in units]  # decreasing
+    pre, post = net._pre_transitions, net._post_transitions
+    places = [p for p in range(len(pre) - 1, -1, -1) if pre[p] <= post[p]]  # decreasing
+    store._add_root([-p - 1] for p in places)
     i = 0
     if not clock.exhausted():
         stats.solve_calls = 1

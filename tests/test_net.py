@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from siphons import NotEnabledError, PetriNet, format_place_set, gen_chain, isomorphic
+from siphons import (NotEnabledError, PetriNet, format_place_set, gen_chain, isomorphic,
+                     random_walk, siphon_trap_report)
 
 from conftest import enzyme_net, example2_net, irregular_net, potato_net, random_net_corpus
 
@@ -171,6 +172,23 @@ def test_marking_validation(enzyme):
         enzyme.marking({"nope": 1})
     with pytest.raises(ValueError):
         enzyme.fire((0, 0), 0)  # wrong length
+
+
+@pytest.mark.parametrize("count", [True, False, 1.5, 1.0, "1", None])
+def test_marking_rejects_a_token_count_that_is_not_an_int(count):
+    # A bool is an int to Python, but no token count: `marking` used to
+    # return (True, 0, ...) and `_check_marking` to pass (1.5, 0, ...).
+    net = gen_chain(3)
+    with pytest.raises(ValueError):
+        net.marking({"A1": count})
+    bad = (count,) + (0,) * (len(net.places) - 1)
+    with pytest.raises(ValueError):
+        net._check_marking(bad)
+    with pytest.raises(ValueError):
+        siphon_trap_report(net, bad)
+    with pytest.raises(ValueError):
+        random_walk(net, bad, 3)
+    assert net._check_marking((1,) + (0,) * (len(net.places) - 1))
 
 
 def test_format_place_set(enzyme):

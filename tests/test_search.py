@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from siphons import (EnumerationResult, PetriNet, brute_force_minimal_siphons,
-                     enumerate_minimal_bb, enumerate_minimal_sat, first_solution_is_minimal_check,
+                     enumerate_minimal_bb, enumerate_minimal_sat, enumerate_minimal_siphons,
+                     enumerate_minimal_traps, first_solution_is_minimal_check,
                      gen_3sat_reduction, gen_chain, gen_random_3sat)
 from siphons.reactions import export_reactions, parse_reactions
 from siphons import search
@@ -85,6 +87,19 @@ def test_budget_rejects_a_negative_or_nan_time(max_ms):
     with pytest.raises(ValueError):
         Budget(max_ms=max_ms)
     assert Budget(max_ms=0.0).max_ms == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_conflicts": 2.5}, {"max_conflicts": True}, {"max_conflicts": "5"},
+    {"max_ms": "5"}, {"max_ms": True}, {"max_ms": 1j},
+])
+def test_budget_rejects_a_bad_type(kwargs):
+    # A float or bool conflict cap and a non-number time were accepted, or
+    # failed later with a TypeError, instead of being refused here.
+    with pytest.raises(ValueError):
+        Budget(**kwargs)
+    assert Budget(max_ms=0).max_ms == 0
+    assert Budget(max_conflicts=0, max_ms=1.5).max_conflicts == 0
 
 
 # -- output order and the one-place minimal siphons --------------------------
@@ -215,6 +230,11 @@ def test_enzyme_cascade_has_one_two_place_set_per_stage(k):
         assert sat.sets == bb.sets == expected
 
 
+def red8_rxn() -> PetriNet:
+    # CI's red8.rxn: in .rxn place order bb needs its long backjumps here.
+    return parse_reactions(export_reactions(gen_3sat_reduction(gen_random_3sat(8, 34, 0))))[0]
+
+
 @pytest.mark.parametrize("make, sat_counts, bb_counts", [
     (lambda: gen_chain(10), (1024, 1025, 528, 1551), (1024, 1025, 1023, 3579)),
     (lambda: gen_chain(10).dual(), (1024, 1025, 512, 1535), (1024, 1025, 513, 2559)),
@@ -222,9 +242,7 @@ def test_enzyme_cascade_has_one_two_place_set_per_stage(k):
      (232, 233, 584, 12928), (232, 233, 4794, 22434)),
     (lambda: gen_3sat_reduction(gen_random_3sat(50, 300, 0)),
      (50, 51, 119, 1356), (50, 51, 352, 1994)),
-    # CI's red8.rxn: in .rxn place order bb needs its long backjumps here.
-    (lambda: parse_reactions(export_reactions(gen_3sat_reduction(gen_random_3sat(8, 34, 0))))[0],
-     (9, 10, 26, 67), (9, 10, 12532, 28803)),
+    (red8_rxn, (9, 10, 26, 67), (9, 10, 12532, 28803)),
 ], ids=["chain10", "chain10-traps", "reduction50-213", "reduction50-300", "red8-rxn"])
 def test_effort_counters_are_pinned(make, sat_counts, bb_counts):
     # (sets, solve calls, conflicts, decisions) of each engine. The counters
@@ -236,3 +254,20 @@ def test_effort_counters_are_pinned(make, sat_counts, bb_counts):
         stats = res.stats
         assert res.complete
         assert (len(res.sets), stats.solve_calls, stats.conflicts, stats.decisions) == counts
+
+
+@pytest.mark.parametrize("make, siphons_md5, traps_md5", [
+    (lambda: gen_chain(8), "a4aa85f73a9f", "5d9d317ff3a6"),
+    (red8_rxn, "106b07d7b4ab", "543f9a52de33"),
+    (lambda: enzyme_cascade(30), "c54b499e547a", "32c924350a3e"),
+], ids=["chain8", "red8-rxn", "cascade30"])
+def test_bb_trace_is_pinned(make, siphons_md5, traps_md5):
+    # The whole `D`/`B`/`S` text of bb's search, hashed. red8's long
+    # backjumps pop many levels per failure, so a change to how a level is
+    # popped or how its depth is written shows here.
+    net = make()
+    for enumerate_, expected in ((enumerate_minimal_siphons, siphons_md5),
+                                 (enumerate_minimal_traps, traps_md5)):
+        lines = []
+        enumerate_(net, engine="bb", trace=lines.append)
+        assert hashlib.md5("\n".join(lines).encode()).hexdigest()[:12] == expected
