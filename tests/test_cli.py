@@ -1,12 +1,13 @@
 import csv
+import hashlib
 import io
 import json
 import contextlib
 
 import pytest
 
-from siphons import (enumerate_minimal_siphons, parse_pnml, parse_reactions,
-                     siphon_trap_report)
+from siphons import (enumerate_minimal_siphons, export_pnml, export_reactions, parse_pnml,
+                     parse_reactions, siphon_trap_report)
 from siphons.cli import build_parser, main
 
 
@@ -271,3 +272,42 @@ def test_stats_json(models_dir):
 
 def test_stats_bad_directory(tmp_path):
     assert run(["stats", str(tmp_path / "void")])[0] == 1
+
+
+def _md5(data) -> str:
+    return hashlib.md5(data if isinstance(data, bytes) else data.encode()).hexdigest()[:12]
+
+
+def test_exported_bytes_are_pinned():
+    # the exporters' exact text, arc ids and order included
+    net, marking = parse_reactions("t: 2*A + B => 3*C\nu: C => 2*A\ninit A 2\ninit C 1\n")
+    assert _md5(export_pnml(net, marking)) == "c26192714ec7"
+    assert _md5(export_reactions(net, marking)) == "af1a1ccae5d3"
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["chain", "--n", "3", "c3.pnml"], {"c3.pnml": "8c467c571249"}),
+    (["sat-reduction", "--vars", "4", "--clauses", "6", "--seed", "2", "red.rxn"],
+     {"red.rxn": "392aa3d25ad1", "red.cnf": "46eb540a1afb"}),
+    (["random-net", "--places", "6", "--transitions", "4", "--degree", "2", "--seed", "1",
+      "rn.pnml"], {"rn.pnml": "94e25a88f871"}),
+])
+def test_gen_bytes_are_pinned(tmp_path, argv, digests):
+    *options, name = argv
+    assert run(["gen", *options, str(tmp_path / name)])[0] == 0
+    assert {p.name: _md5(p.read_bytes()) for p in tmp_path.iterdir()} == digests
+
+
+def test_csv_headers_are_pinned(models_dir):
+    headers = {
+        ("analyze", str(models_dir / "enzyme.rxn"), "--output", "csv"):
+            "model,target,engine,places,transitions,count,size_min,size_max,size_avg,"
+            "elapsed_ms,timed_out",
+        ("stats", str(models_dir), "--output", "csv"):
+            "models,count_min,count_max,count_avg,size_min,size_max,size_avg,total_ms,timeouts",
+        ("sweep", "--vars", "4", "--alpha", "1", "--trials", "1"):
+            "alpha,places,transitions,density,vars,clauses,time_ms,timed_out,siphon_count",
+    }
+    for argv, header in headers.items():
+        code, out, _ = run(list(argv))
+        assert code == 0 and out.splitlines()[0] == header
