@@ -16,18 +16,20 @@ import statistics
 import sys
 from pathlib import Path
 
-from .analysis import (canonical_order, enumerate_minimal_siphons,
+from .analysis import (ENGINES, canonical_order, enumerate_minimal_siphons,
                        enumerate_minimal_traps, filter_containing, siphon_trap_report)
 from .generators import gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net
 from .encoding import encode_siphon
-from .net import PetriNet, format_place_set
+from .net import PetriNet
 from .pnml import export_pnml, parse_pnml
 from .reactions import ParseError, export_reactions, parse_reactions
 from .search import Budget
 
 DEFAULT_TIMEOUT_MS = 2000.0
 SWEEP_ALPHAS = "0,1,2,3,4,4.2,4.4,4.6,5,6,8,10"
-MODEL_SUFFIXES = (".rxn", ".pnml", ".xml")
+FORMATS = {".rxn": "rxn", ".pnml": "pnml", ".xml": "pnml"}  # model file suffix -> format
+ANALYZE_COLUMNS = ("model", "target", "engine", "places", "transitions", "count",
+                   "size_min", "size_max", "size_avg", "elapsed_ms", "timed_out")
 
 
 def _budget(args) -> Budget | None:
@@ -41,18 +43,13 @@ def _budget(args) -> Budget | None:
 
 
 def _load_model(path: Path, fmt: str | None) -> tuple[PetriNet, tuple[int, ...], str]:
+    fmt = fmt or FORMATS.get(path.suffix)
     if fmt is None:
-        if path.suffix == ".rxn":
-            fmt = "rxn"
-        elif path.suffix in (".pnml", ".xml"):
-            fmt = "pnml"
-        else:
-            raise ValueError(f"cannot infer format of {path.name!r}; pass --format")
+        raise ValueError(f"cannot infer format of {path.name!r}; pass --format")
     text = path.read_text()
-    if fmt == "rxn":
-        net, marking = parse_reactions(text)
-    else:
-        net, marking = parse_pnml(text)
+    # named here, not in a table bound at import, so a wrapper on this module sees the call
+    parse = parse_reactions if fmt == "rxn" else parse_pnml
+    net, marking = parse(text)
     return net, marking, fmt
 
 
@@ -123,15 +120,10 @@ def cmd_analyze(args) -> int:
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     elif args.output == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["model", "target", "engine", "places", "transitions", "count",
-                         "size_min", "size_max", "size_avg", "elapsed_ms", "timed_out"])
+        writer = csv.DictWriter(sys.stdout, ANALYZE_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
         for target in targets:
-            block = payload[target]
-            writer.writerow([path.name, target, args.engine, len(net.places),
-                             len(net.transitions), block["count"], block["size_min"],
-                             block["size_max"], block["size_avg"], block["elapsed_ms"],
-                             block["timed_out"]])
+            writer.writerow({**payload, "model": path.name, "target": target, **payload[target]})
     else:
         print(f"model {path.name}: {len(net.places)} places, {len(net.transitions)} transitions")
         if required is not None:
@@ -148,28 +140,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _write_net(net: PetriNet, out: Path, marking=None) -> None:
-    if out.suffix == ".rxn":
-        out.write_text(export_reactions(net, marking))
-    else:
-        out.write_text(export_pnml(net, marking))
+def _write_net(net: PetriNet, out: Path) -> None:
+    out.write_text(export_reactions(net) if out.suffix == ".rxn" else export_pnml(net))
 
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
+    instance = None
     if args.family == "chain":
         net = gen_chain(args.n)
-        _write_net(net, out)
     elif args.family == "sat-reduction":
-        instance = gen_random_3sat(args.vars, args.clauses, args.seed or 0)
+        instance = gen_random_3sat(args.vars, args.clauses, args.seed)
         net = gen_3sat_reduction(instance)
-        _write_net(net, out)
+    else:
+        net = gen_random_net(args.places, args.transitions, args.degree, args.seed)
+    _write_net(net, out)
+    if instance is not None:
         cnf = out.with_suffix(".cnf")
         cnf.write_text(instance.to_dimacs())
         print(f"wrote {cnf} (3-SAT instance, {len(instance.clauses)} clauses)")
-    else:
-        net = gen_random_net(args.places, args.transitions, args.degree, args.seed or 0)
-        _write_net(net, out)
     print(f"wrote {out} ({len(net.places)} places, {len(net.transitions)} transitions)")
     return 0
 
@@ -213,9 +202,7 @@ def cmd_sweep(args) -> int:
             "siphon_count": statistics.median_low(counts),
         })
     text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=["alpha", "places", "transitions", "density",
-                                              "vars", "clauses", "time_ms", "timed_out",
-                                              "siphon_count"])
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
     if args.out:
@@ -229,7 +216,7 @@ def cmd_stats(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ValueError(f"{directory} is not a directory")
-    files = sorted(p for p in directory.iterdir() if p.suffix in MODEL_SUFFIXES)
+    files = sorted(p for p in directory.iterdir() if p.suffix in FORMATS and p.is_file())
     if not files:
         raise ValueError(f"no model files in {directory}")
     budget = _budget(args)
@@ -291,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="enumerate minimal siphons/traps of a model")
-    analyze.add_argument("model", help="model file (.rxn, .pnml, .xml)")
-    analyze.add_argument("--format", choices=["rxn", "pnml"])
+    analyze.add_argument("model", help=f"model file ({', '.join(FORMATS)})")
+    analyze.add_argument("--format", choices=list(dict.fromkeys(FORMATS.values())))
     analyze.add_argument("--target", choices=["siphons", "traps", "both"], default="siphons")
-    analyze.add_argument("--engine", choices=["sat", "bb", "oracle"], default="sat")
+    analyze.add_argument("--engine", choices=ENGINES, default="sat")
     analyze.add_argument("--contains", metavar="PLACES",
                          help="comma-separated places every reported set must contain")
     analyze.add_argument("--marking-report", action="store_true",
@@ -339,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="summary over a directory of models")
     stats.add_argument("directory")
-    stats.add_argument("--engine", choices=["sat", "bb", "oracle"], default="sat")
+    stats.add_argument("--engine", choices=ENGINES, default="sat")
     stats.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_MS, metavar="MS")
     stats.add_argument("--output", choices=["text", "json", "csv"], default="text")
     stats.set_defaults(func=cmd_stats)

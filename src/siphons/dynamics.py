@@ -6,20 +6,24 @@ import random
 from .net import Marking, PetriNet, PlaceSet
 
 
-def _walk_steps(net: PetriNet, marking: Marking, steps: int, seed: int):
-    """Yield (transition, successor marking) pairs; stops early at deadlock."""
+def _walk(net: PetriNet, marking: Marking, steps: int,
+          seed: int) -> list[tuple[int | None, Marking]]:
+    """(fired transition, marking) pairs of a seeded uniform random walk,
+    starting with (None, initial marking); stops early at deadlock."""
     if steps < 0:
         raise ValueError("step count must be >= 0")
     net._check_marking(marking)
     rng = random.Random(seed)
     current = tuple(marking)
+    walk = [(None, current)]
     for _ in range(steps):
         enabled = sorted(net.enabled_transitions(current))
         if not enabled:
-            return
+            break
         t = rng.choice(enabled)
         current = net.fire(current, t)
-        yield t, current
+        walk.append((t, current))
+    return walk
 
 
 def random_walk(net: PetriNet, marking: Marking, steps: int, seed: int = 0) -> list[Marking]:
@@ -27,50 +31,42 @@ def random_walk(net: PetriNet, marking: Marking, steps: int, seed: int = 0) -> l
 
     The walk ends early at a deadlock; its length reveals this.
     """
-    walk = [tuple(marking)]
-    for _, m in _walk_steps(net, marking, steps, seed):
-        walk.append(m)
-    return walk
+    return [m for _, m in _walk(net, marking, steps, seed)]
 
 
 def walk_trace(net: PetriNet, marking: Marking, steps: int, seed: int = 0) -> str:
     """Text trace of the same walk: step, fired transition, marking."""
-    def fmt(m):
-        inside = " ".join(f"{name}:{k}" for name, k in net.marking_dict(m).items())
-        return inside or "(empty)"
+    def line(k, t, m):
+        inside = " ".join(f"{name}:{count}" for name, count in net.marking_dict(m).items())
+        return f"{k} {'-' if t is None else net.transitions[t]} {inside or '(empty)'}\n"
 
-    lines = [f"0 - {fmt(tuple(marking))}"]
-    for k, (t, m) in enumerate(_walk_steps(net, marking, steps, seed), start=1):
-        lines.append(f"{k} {net.transitions[t]} {fmt(m)}")
-    return "\n".join(lines) + "\n"
+    return "".join(line(k, t, m) for k, (t, m) in enumerate(_walk(net, marking, steps, seed)))
+
+
+def _stays(net: PetriNet, s: PlaceSet, walk: list[Marking], holds) -> bool:
+    """True iff once `holds(tokens in s)` is true it is true at every later marking."""
+    held = False
+    for m in walk:
+        net._check_marking(m)
+        now = holds(sum(m[p] for p in s))
+        if held and not now:
+            return False
+        held = held or now
+    return True
 
 
 def check_trap_persistence(net: PetriNet, trap: PlaceSet, walk: list[Marking]) -> bool:
     """True iff once the trap holds a token it holds one in every later marking."""
     if not net.is_trap(trap):
         raise ValueError("the given place set is not a trap")
-    marked = False
-    for m in walk:
-        net._check_marking(m)
-        tokens = sum(m[p] for p in trap)
-        if marked and tokens == 0:
-            return False
-        marked = marked or tokens > 0
-    return True
+    return _stays(net, trap, walk, lambda tokens: tokens > 0)
 
 
 def check_siphon_emptiness(net: PetriNet, siphon: PlaceSet, walk: list[Marking]) -> bool:
     """True iff once the siphon is empty it stays empty in every later marking."""
     if not net.is_siphon(siphon):
         raise ValueError("the given place set is not a siphon")
-    empty = False
-    for m in walk:
-        net._check_marking(m)
-        tokens = sum(m[p] for p in siphon)
-        if empty and tokens > 0:
-            return False
-        empty = empty or tokens == 0
-    return True
+    return _stays(net, siphon, walk, lambda tokens: tokens == 0)
 
 
 def unmarked_places(net: PetriNet, marking: Marking) -> PlaceSet:

@@ -1,5 +1,6 @@
 """Petri net core: immutable net structure, markings, siphon/trap predicates."""
 
+import copy
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -13,6 +14,12 @@ class NotEnabledError(ValueError):
     """Raised when firing a transition whose input places lack tokens."""
 
 
+def _is_index(i, n: int) -> bool:
+    """True iff i is an int, not a bool, in range(n). `type(i) is int` settles
+    the common case without the two `isinstance` calls."""
+    return (type(i) is int or isinstance(i, int) and not isinstance(i, bool)) and 0 <= i < n
+
+
 def _clean_weights(raw, n_left, n_right, what):
     """Validate an arc weight map; explicit zero weights mean 'no arc'."""
     weights = {}
@@ -21,7 +28,7 @@ def _clean_weights(raw, n_left, n_right, what):
             raise ValueError(f"{what} weight for {(a, b)} must be an int, got {w!r}")
         if w < 0:
             raise ValueError(f"{what} weight for {(a, b)} is negative: {w}")
-        if not (0 <= a < n_left and 0 <= b < n_right):
+        if not (_is_index(a, n_left) and _is_index(b, n_right)):
             raise ValueError(f"{what} arc {(a, b)} is out of range")
         if w > 0:
             weights[(a, b)] = w
@@ -77,7 +84,7 @@ class PetriNet:
         explicit `places` sequence is given.
         """
         order = list(places) if places is not None else []
-        seen = set(order)
+        index = {name: i for i, name in enumerate(order)}
 
         def as_counts(side):
             counts = dict(side) if isinstance(side, Mapping) else {}
@@ -85,25 +92,19 @@ class PetriNet:
                 for name in side:
                     counts[name] = counts.get(name, 0) + 1
             for name in counts:
-                if name not in seen:
+                if name not in index:
                     if places is not None:
                         raise ValueError(f"place {name!r} not in the given place list")
-                    seen.add(name)
+                    index[name] = len(order)
                     order.append(name)
             return counts
 
-        names, pre, post = [], [], []
-        for name, consumed, produced in specs:
+        names, weight_pt, weight_tp = [], {}, {}
+        for j, (name, consumed, produced) in enumerate(specs):
             names.append(name)
-            pre.append(as_counts(consumed))
-            post.append(as_counts(produced))
-        index = {name: i for i, name in enumerate(order)}
-        weight_pt = {}
-        weight_tp = {}
-        for j, (cons, prod) in enumerate(zip(pre, post)):
-            for pname, w in cons.items():
+            for pname, w in as_counts(consumed).items():
                 weight_pt[(index[pname], j)] = w
-            for pname, w in prod.items():
+            for pname, w in as_counts(produced).items():
                 weight_tp[(j, index[pname])] = w
         return cls(order, names, weight_pt, weight_tp)
 
@@ -129,12 +130,12 @@ class PetriNet:
         return tuple(sorted(self.places[p] for p in self._check_set(s)))
 
     def _check_place(self, p: int) -> int:
-        if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < len(self.places):
+        if not _is_index(p, len(self.places)):
             raise ValueError(f"invalid place index {p!r}")
         return p
 
     def _check_transition(self, t: int) -> int:
-        if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t < len(self.transitions):
+        if not _is_index(t, len(self.transitions)):
             raise ValueError(f"invalid transition index {t!r}")
         return t
 
@@ -189,20 +190,16 @@ class PetriNet:
     def dual(self) -> "PetriNet":
         """The net with every arc reversed; traps here are siphons there.
 
-        The arcs are checked already, so the dual swaps them and the
-        adjacency tuples rather than checking them again in `__init__`.
+        The arcs are checked already, so the dual copies this net and swaps
+        its arcs and adjacency tuples rather than checking them again.
         """
-        dual = PetriNet.__new__(PetriNet)
-        dual.places = self.places
-        dual.transitions = self.transitions
+        dual = copy.copy(self)
         dual.weight_pt = {(p, t): w for (t, p), w in self.weight_tp.items()}
         dual.weight_tp = {(t, p): w for (p, t), w in self.weight_pt.items()}
         dual._pre_transitions = self._post_transitions
         dual._post_transitions = self._pre_transitions
         dual._pre_places = self._post_places
         dual._post_places = self._pre_places
-        dual._place_index = self._place_index
-        dual._transition_index = self._transition_index
         return dual
 
     # -- token game --------------------------------------------------------
@@ -222,6 +219,8 @@ class PetriNet:
         return {self.places[i]: k for i, k in enumerate(m) if k}
 
     def _check_marking(self, m: Marking) -> Marking:
+        if not isinstance(m, (list, tuple)):
+            raise ValueError(f"marking must be a list or tuple, got {type(m).__name__}")
         if len(m) != len(self.places):
             raise ValueError(f"marking has length {len(m)}, expected {len(self.places)}")
         if not _INT.issuperset(map(type, m)):
@@ -232,15 +231,15 @@ class PetriNet:
 
     def is_enabled(self, m: Marking, t: int) -> bool:
         self._check_marking(m)
-        t = self._check_transition(t)
-        return all(m[p] >= self.weight_pt[(p, t)] for p in self._pre_places[t])
+        return self._enabled(m, self._check_transition(t))
 
     def enabled_transitions(self, m: Marking) -> frozenset[int]:
         self._check_marking(m)
-        return frozenset(
-            t for t in range(len(self.transitions))
-            if all(m[p] >= self.weight_pt[(p, t)] for p in self._pre_places[t])
-        )
+        return frozenset(t for t in range(len(self.transitions)) if self._enabled(m, t))
+
+    def _enabled(self, m: Marking, t: int) -> bool:
+        """Every input place of t holds at least its arc weight; the caller checked m and t."""
+        return all(m[p] >= self.weight_pt[(p, t)] for p in self._pre_places[t])
 
     def fire(self, m: Marking, t: int) -> Marking:
         """Successor marking after firing t; raises NotEnabledError if t is not enabled."""

@@ -93,6 +93,11 @@ def parse_pnml(text: str | bytes) -> tuple[PetriNet, Marking]:
     return net, net.marking(marks)
 
 
+def _text_child(parent, tag: str, value) -> None:
+    """Append `<tag><text>value</text></tag>` to parent."""
+    ET.SubElement(ET.SubElement(parent, tag), "text").text = str(value)
+
+
 def export_pnml(net: PetriNet, marking: Marking | None = None) -> str:
     """Serialize to PNML, deterministically: places, transitions, then arcs.
 
@@ -106,29 +111,18 @@ def export_pnml(net: PetriNet, marking: Marking | None = None) -> str:
     page = ET.SubElement(netel, "page", id="page1")
     for i, name in enumerate(net.places):
         place = ET.SubElement(page, "place", id=name)
-        label = ET.SubElement(ET.SubElement(place, "name"), "text")
-        label.text = name
+        _text_child(place, "name", name)
         if marking is not None and marking[i] > 0:
-            ET.SubElement(ET.SubElement(place, "initialMarking"), "text").text = str(marking[i])
+            _text_child(place, "initialMarking", marking[i])
     for name in net.transitions:
-        transition = ET.SubElement(page, "transition", id=name)
-        label = ET.SubElement(ET.SubElement(transition, "name"), "text")
-        label.text = name
-    arc_no = 0
+        _text_child(ET.SubElement(page, "transition", id=name), "name", name)
+    arcs = []  # (source, target, weight), in output order
     for j, tname in enumerate(net.transitions):
-        for p in sorted(net.pre_places(j)):
-            arc_no += 1
-            arc = ET.SubElement(page, "arc", id=f"a{arc_no}",
-                                source=net.places[p], target=tname)
-            weight = net.weight_pt[(p, j)]
-            if weight != 1:
-                ET.SubElement(ET.SubElement(arc, "inscription"), "text").text = str(weight)
-        for p in sorted(net.post_places(j)):
-            arc_no += 1
-            arc = ET.SubElement(page, "arc", id=f"a{arc_no}",
-                                source=tname, target=net.places[p])
-            weight = net.weight_tp[(j, p)]
-            if weight != 1:
-                ET.SubElement(ET.SubElement(arc, "inscription"), "text").text = str(weight)
+        arcs += [(net.places[p], tname, net.weight_pt[(p, j)]) for p in sorted(net.pre_places(j))]
+        arcs += [(tname, net.places[p], net.weight_tp[(j, p)]) for p in sorted(net.post_places(j))]
+    for k, (source, target, weight) in enumerate(arcs, start=1):
+        arc = ET.SubElement(page, "arc", id=f"a{k}", source=source, target=target)
+        if weight != 1:
+            _text_child(arc, "inscription", weight)
     ET.indent(root)
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"

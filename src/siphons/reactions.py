@@ -85,9 +85,7 @@ def parse_reactions(text: str) -> tuple[PetriNet, Marking]:
             if name in inits:
                 raise ParseError(f"duplicate init for {name!r}", lineno)
             inits[name] = count
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
+            note_species((name,))
             continue
         if re.match(r"^init\s", line.strip()) and "=>" not in line:
             raise ParseError("bad init statement", lineno)

@@ -270,6 +270,16 @@ def test_stats_json(models_dir):
     assert summary["count_max"] >= 8 and summary["unparseable"] == []
 
 
+def test_stats_reads_only_regular_files(models_dir, tmp_path):
+    # a directory whose name has a model suffix is not a model
+    (tmp_path / "enzyme.rxn").write_text((models_dir / "enzyme.rxn").read_text())
+    (tmp_path / "sub.rxn").mkdir()
+    code, out, err = run(["stats", str(tmp_path), "--output", "json"])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)["summary"]
+    assert summary["models"] == 1 and summary["unparseable"] == []
+
+
 def test_stats_bad_directory(tmp_path):
     assert run(["stats", str(tmp_path / "void")])[0] == 1
 

@@ -47,6 +47,18 @@ def test_walk_trace_format(enzyme):
         assert tname in enzyme.transitions
 
 
+@pytest.mark.parametrize("marking", [None, 5, {i: 0 for i in range(6)}],
+                         ids=["None", "int", "dict"])
+def test_walks_reject_a_marking_that_is_not_a_list_or_tuple(marking):
+    # The walks used to call tuple(marking) before any check: None and an
+    # int raised TypeError, and a dict walked from its keys.
+    net = gen_chain(3)
+    with pytest.raises(ValueError, match="list or tuple"):
+        random_walk(net, marking, 3)
+    with pytest.raises(ValueError, match="list or tuple"):
+        walk_trace(net, marking, 3)
+
+
 def test_trap_persistence_enzyme(enzyme):
     m0 = enzyme.marking({"A": 3, "E": 2})
     walk = random_walk(enzyme, m0, steps=200, seed=11)

@@ -191,6 +191,32 @@ def test_marking_rejects_a_token_count_that_is_not_an_int(count):
     assert net._check_marking((1,) + (0,) * (len(net.places) - 1))
 
 
+@pytest.mark.parametrize("marking", [None, 5, {i: 0 for i in range(6)}],
+                         ids=["None", "int", "dict"])
+def test_marking_that_is_not_a_list_or_tuple_is_rejected(marking):
+    # A dict of the right length used to pass, its keys read as token counts,
+    # and None or an int raised TypeError.
+    net = gen_chain(3)
+    assert len(net.places) == 6
+    with pytest.raises(ValueError, match="list or tuple"):
+        net._check_marking(marking)
+    with pytest.raises(ValueError, match="list or tuple"):
+        siphon_trap_report(net, marking)
+    with pytest.raises(ValueError, match="list or tuple"):
+        random_walk(net, marking, 3)
+
+
+@pytest.mark.parametrize("weight_pt, weight_tp", [
+    ({(0.5, 0): 1}, {}), ({(True, 0): 1}, {}), ({(0, 0.0): 1}, {}),
+    ({}, {(0, True): 1}), ({}, {(False, 1): 1}), ({}, {("0", 1): 1}),
+], ids=repr)
+def test_arc_index_that_is_not_an_int_is_rejected(weight_pt, weight_tp):
+    # The arc keys follow the index rule of `_check_place`: a float index
+    # used to raise TypeError, and a bool was taken as place 0 or 1.
+    with pytest.raises(ValueError, match="out of range"):
+        PetriNet(["a", "b"], ["t"], weight_pt, weight_tp)
+
+
 def test_format_place_set(enzyme):
     assert format_place_set(enzyme, enzyme.place_set("AE", "A")) == "{A, AE}"
 
