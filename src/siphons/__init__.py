@@ -11,7 +11,7 @@ from .analysis import (SiphonReportRow, SiphonTrapReport, brute_force_minimal_si
                        brute_force_minimal_traps, canonical_order,
                        enumerate_minimal_siphons, enumerate_minimal_traps,
                        filter_containing, max_trap_within, siphon_trap_report)
-from .branch_bound import Propagator, enumerate_minimal_bb, first_solution_is_minimal_check
+from .branch_bound import enumerate_minimal_bb, first_solution_is_minimal_check
 from .dynamics import (check_siphon_emptiness, check_trap_persistence, random_walk,
                        unmarked_places, walk_trace)
 from .encoding import (Assignment, Clause, CnfFormula, VarMap, blocking_clause,
@@ -23,7 +23,7 @@ from .net import (Marking, NotEnabledError, PetriNet, PlaceSet, format_place_set
 from .pnml import export_pnml, parse_pnml
 from .reactions import ParseError, export_reactions, parse_reactions
 from .sat import SatSolver, SolveStatus, enumerate_minimal_sat
-from .search import Budget, EnumerationResult, SearchStats
+from .search import Budget, EnumerationResult, Propagator, SearchStats
 
 __version__ = "0.1.0"
 

@@ -6,7 +6,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .branch_bound import enumerate_minimal_bb
-from .net import PetriNet, PlaceSet
+from .net import PetriNet, PlaceSet, format_names
 from .sat import enumerate_minimal_sat
 from .search import Budget, BudgetClock, EnumerationResult, SearchStats
 
@@ -174,10 +174,9 @@ class SiphonTrapReport:
         lines = []
         for row in self.rows:
             flags = "proper" if row.proper else "not proper"
-            trap = "{" + ", ".join(row.trap) + "}"
             marked = "marked" if row.trap_marked else "unmarked"
-            lines.append("siphon {" + ", ".join(row.siphon) + f"}} ({flags}): "
-                         f"max trap {trap} ({marked})")
+            lines.append(f"siphon {format_names(row.siphon)} ({flags}): "
+                         f"max trap {format_names(row.trap)} ({marked})")
         verdict = "yes" if self.all_marked else "no"
         lines.append(f"every minimal siphon contains a marked trap: {verdict}"
                      + (" (partial: timed out)" if self.timed_out else ""))

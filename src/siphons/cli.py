@@ -7,6 +7,7 @@ stats (summary over a directory of models). Exit codes: 0 on success
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -20,7 +21,7 @@ from .analysis import (ENGINES, canonical_order, enumerate_minimal_siphons,
                        enumerate_minimal_traps, filter_containing, siphon_trap_report)
 from .generators import gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net
 from .encoding import encode_siphon
-from .net import PetriNet
+from .net import PetriNet, format_names
 from .pnml import export_pnml, parse_pnml
 from .reactions import ParseError, export_reactions, parse_reactions
 from .search import Budget
@@ -84,11 +85,8 @@ def cmd_analyze(args) -> int:
     if args.contains:
         required = frozenset(net.place_index(name.strip())
                              for name in args.contains.split(",") if name.strip())
-    trace_file = None
-    if args.trace:
-        if args.engine != "bb":
-            raise ValueError("--trace needs --engine bb")
-        trace_file = open(args.trace, "w")
+    if args.trace and args.engine != "bb":
+        raise ValueError("--trace needs --engine bb")
 
     targets = ("siphons", "traps") if args.target == "both" else (args.target,)
     payload = {
@@ -101,7 +99,7 @@ def cmd_analyze(args) -> int:
     if required is not None:
         payload["contains"] = sorted(net.places[p] for p in required)
     siphons = None  # all minimal siphons, before --contains, for the report
-    try:
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_file:
         for target in targets:
             run = enumerate_minimal_siphons if target == "siphons" else enumerate_minimal_traps
             result = run(net, engine=args.engine, budget=budget, trace=trace_file)
@@ -109,9 +107,6 @@ def cmd_analyze(args) -> int:
                 siphons = result
             sets = result.sets if required is None else filter_containing(result.sets, required)
             payload[target] = _result_dict(net, sets, result.stats)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
     if args.marking_report:
         report = siphon_trap_report(net, marking, engine=args.engine, budget=budget,
                                     siphons=siphons)
@@ -127,14 +122,14 @@ def cmd_analyze(args) -> int:
     else:
         print(f"model {path.name}: {len(net.places)} places, {len(net.transitions)} transitions")
         if required is not None:
-            print("filter: sets containing " + "{" + ", ".join(payload["contains"]) + "}")
+            print("filter: sets containing " + format_names(payload["contains"]))
         for target in targets:
             block = payload[target]
             flag = " (timed out, partial)" if block["timed_out"] else ""
             print(f"{target} ({args.engine}): {block['count']} minimal set(s) "
                   f"in {block['elapsed_ms']} ms{flag}")
             for names in block["sets"]:
-                print("  {" + ", ".join(names) + "}")
+                print("  " + format_names(names))
         if args.marking_report:
             print(report.to_text())
     return 0
@@ -225,7 +220,7 @@ def cmd_stats(args) -> int:
     for path in files:
         try:
             net, _, _ = _load_model(path, None)
-        except (ParseError, ValueError) as exc:
+        except ValueError as exc:  # a ParseError is one
             failures.append((path.name, str(exc)))
             continue
         result = enumerate_minimal_siphons(net, engine=args.engine, budget=budget)
@@ -250,8 +245,7 @@ def cmd_stats(args) -> int:
         print(json.dumps({"models": entries, "summary": summary}, indent=2))
     elif args.output == "csv":
         writer = csv.writer(sys.stdout)
-        header = ["models", "count_min", "count_max", "count_avg",
-                  "size_min", "size_max", "size_avg", "total_ms", "timeouts"]
+        header = [k for k in summary if k != "unparseable"]
         writer.writerow(header)
         writer.writerow([summary[k] for k in header])
     else:

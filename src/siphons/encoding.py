@@ -7,11 +7,11 @@ rules out the empty set. Tautological clauses (from self-loops) are
 dropped and duplicate clauses are kept once.
 
 Each index is checked once, where it enters: `PetriNet.__init__` checks
-every arc, and `check_clause` every literal of a clause from outside
-(DIMACS text, a caller's clause) for both `CnfFormula.add_clause` and
-`Propagator.add_clause`. `encode_siphon` reads the net's checked adjacency
-directly and builds its clauses without checking them again, and the
-engines attach a formula's clauses as they are.
+every arc, and `check_clause` every literal from outside (DIMACS text, a
+caller's clause or SAT assumptions) for `CnfFormula.add_clause`,
+`Propagator.add_clause` and `SatSolver.solve`. `encode_siphon` reads the
+net's checked adjacency directly and builds its clauses without checking
+them again, and the engines attach a formula's clauses as they are.
 """
 
 from collections.abc import Iterable, Sequence
@@ -26,11 +26,11 @@ Assignment = tuple[bool, ...]
 def check_clause(literals: Iterable[int], num_vars: int) -> list[int] | None:
     """The distinct literals of a clause from outside, in first-seen order,
     or None for a tautology. Raises ValueError on a literal that is not a
-    nonzero int within +-num_vars; a bool is not a literal."""
+    nonzero plain int within +-num_vars; a bool or other int subclass is not one."""
     out: list[int] = []
     seen: set[int] = set()
     for lit in literals:
-        if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0 or abs(lit) > num_vars:
+        if type(lit) is not int or not 0 < abs(lit) <= num_vars:
             raise ValueError(f"bad literal {lit!r}")
         if lit not in seen:
             seen.add(lit)
@@ -77,7 +77,7 @@ class CnfFormula:
 
 class VarMap:
     """The fixed bijection between place indices and DIMACS variables.
-    An index must be an int: `type(...) is int` rejects a bool too."""
+    An index must be a plain int: `type(...) is int` rejects a bool too."""
 
     def __init__(self, place_names: Sequence[str]):
         self.names = tuple(place_names)

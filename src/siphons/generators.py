@@ -9,7 +9,7 @@
 import random
 from dataclasses import dataclass
 
-from .encoding import CnfFormula
+from .encoding import CnfFormula, export_dimacs
 from .net import PetriNet
 
 
@@ -56,10 +56,8 @@ class ThreeSatInstance:
         return formula
 
     def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
+        """DIMACS text of the clauses as drawn, repeats included."""
+        return export_dimacs(self)
 
 
 def gen_random_3sat(n: int, m: int, seed: int = 0) -> ThreeSatInstance:

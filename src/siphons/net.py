@@ -15,16 +15,20 @@ class NotEnabledError(ValueError):
 
 
 def _is_index(i, n: int) -> bool:
-    """True iff i is an int, not a bool, in range(n). `type(i) is int` settles
-    the common case without the two `isinstance` calls."""
-    return (type(i) is int or isinstance(i, int) and not isinstance(i, bool)) and 0 <= i < n
+    """True iff i is a plain int in range(n): `type(i) is int` refuses a bool
+    and any other int subclass."""
+    return type(i) is int and 0 <= i < n
 
 
 def _clean_weights(raw, n_left, n_right, what):
     """Validate an arc weight map; explicit zero weights mean 'no arc'."""
     weights = {}
-    for (a, b), w in dict(raw).items():
-        if not isinstance(w, int) or isinstance(w, bool):
+    for key, w in dict(raw).items():
+        try:
+            a, b = key
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} arc key {key!r} is not a pair") from None
+        if type(w) is not int:
             raise ValueError(f"{what} weight for {(a, b)} must be an int, got {w!r}")
         if w < 0:
             raise ValueError(f"{what} weight for {(a, b)} is negative: {w}")
@@ -266,8 +270,13 @@ class PetriNet:
         return f"PetriNet({len(self.places)} places, {len(self.transitions)} transitions)"
 
 
+def format_names(names: Iterable[str]) -> str:
+    """Names as a set literal: `{a, b}`."""
+    return "{" + ", ".join(names) + "}"
+
+
 def format_place_set(net: PetriNet, s: Iterable[int]) -> str:
-    return "{" + ", ".join(net.set_names(s)) + "}"
+    return format_names(net.set_names(s))
 
 
 def isomorphic(a: PetriNet, b: PetriNet) -> bool:

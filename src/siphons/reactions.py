@@ -63,17 +63,10 @@ def _parse_side(text: str, lineno: int, offset: int) -> dict[str, int]:
 
 def parse_reactions(text: str) -> tuple[PetriNet, Marking]:
     """Parse reaction notation into a net plus its initial marking."""
-    order: list[str] = []
-    seen: set[str] = set()
+    species: dict[str, None] = {}  # insertion-ordered: the places in first-appearance order
     specs: list[tuple[str, dict[str, int], dict[str, int]]] = []
     inits: dict[str, int] = {}
     arrow_no = 0
-
-    def note_species(counts):
-        for name in counts:
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -85,7 +78,7 @@ def parse_reactions(text: str) -> tuple[PetriNet, Marking]:
             if name in inits:
                 raise ParseError(f"duplicate init for {name!r}", lineno)
             inits[name] = count
-            note_species((name,))
+            species[name] = None
             continue
         if re.match(r"^init\s", line.strip()) and "=>" not in line:
             raise ParseError("bad init statement", lineno)
@@ -104,7 +97,7 @@ def parse_reactions(text: str) -> tuple[PetriNet, Marking]:
         for chunk in sides:
             side_counts.append(_parse_side(chunk, lineno, offset + body.index(chunk)))
         for counts in side_counts:
-            note_species(counts)
+            species.update(dict.fromkeys(counts))
         for k, op in enumerate(ops):
             arrow_no += 1
             if label is None:
@@ -124,7 +117,7 @@ def parse_reactions(text: str) -> tuple[PetriNet, Marking]:
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise ParseError(f"duplicate reaction name {dup!r} after numbering")
-    net = PetriNet.from_transitions(specs, places=order)
+    net = PetriNet.from_transitions(specs, places=list(species))
     return net, net.marking(inits)
 
 

@@ -42,7 +42,7 @@ below them, so the models and their order do not change.
 
 from enum import Enum
 
-from .encoding import Assignment, CnfFormula, blocking_clause, encode_siphon
+from .encoding import Assignment, CnfFormula, blocking_clause, check_clause, encode_siphon
 from .net import PetriNet
 from .search import Budget, BudgetClock, EnumerationResult, Propagator, enumerate_sets
 
@@ -157,10 +157,7 @@ class SatSolver(Propagator):
         if self.conflicting:
             return SolveStatus.UNSAT
         assumptions = tuple(assumptions)
-        for lit in assumptions:
-            if (not isinstance(lit, int) or isinstance(lit, bool) or lit == 0
-                    or abs(lit) > self.num_vars):
-                raise ValueError(f"bad assumption {lit!r}")
+        check_clause(assumptions, self.num_vars)
         if assumptions:
             self._cancel_until(0)
         clock = budget if isinstance(budget, BudgetClock) else BudgetClock(budget)

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from siphons import (NotEnabledError, PetriNet, format_place_set, gen_chain, isomorphic,
-                     random_walk, siphon_trap_report)
+from siphons import (CnfFormula, NotEnabledError, PetriNet, Propagator, SatSolver, VarMap,
+                     format_place_set, gen_chain, isomorphic, random_walk, siphon_trap_report)
 
 from conftest import enzyme_net, example2_net, irregular_net, potato_net, random_net_corpus
 
@@ -217,6 +218,17 @@ def test_arc_index_that_is_not_an_int_is_rejected(weight_pt, weight_tp):
         PetriNet(["a", "b"], ["t"], weight_pt, weight_tp)
 
 
+@pytest.mark.parametrize("key", [5, (0, 0, 0), (0,), None], ids=repr)
+def test_arc_key_that_is_not_a_pair_is_rejected(key):
+    # A key that does not unpack as (source, target) used to raise TypeError,
+    # or a ValueError from the unpacking that did not name the key.
+    message = rf"arc key {re.escape(repr(key))} is not a pair"
+    with pytest.raises(ValueError, match=message):
+        PetriNet(["a"], ["t"], {key: 1})
+    with pytest.raises(ValueError, match=message):
+        PetriNet(["a"], ["t"], {}, {key: 1})
+
+
 def test_format_place_set(enzyme):
     assert format_place_set(enzyme, enzyme.place_set("AE", "A")) == "{A, AE}"
 
@@ -284,7 +296,29 @@ def test_dual_equals_the_constructor_built_reversed_net():
 
 
 class Index(int):
-    """An int subclass, which the per-place rule accepts."""
+    """An int subclass, such as an `IntEnum` member; no index rule accepts it."""
+
+
+INT_SITES = {  # each call takes the plain int 1 as an index, a weight or a literal
+    "arc index": lambda one: PetriNet(["a", "b"], ["t"], {(one, 0): 1}),
+    "arc weight": lambda one: PetriNet(["a"], ["t"], {(0, 0): one}),
+    "pre_transitions": lambda one: gen_chain(2).pre_transitions(one),
+    "CnfFormula.add_clause": lambda one: CnfFormula(2).add_clause([one]),
+    "Propagator.add_clause": lambda one: Propagator(CnfFormula(2)).add_clause([one]),
+    "SatSolver.solve": lambda one: SatSolver(CnfFormula(2)).solve(assumptions=[one]),
+    "VarMap.var": lambda one: VarMap(["a", "b"]).var(one),
+    "Propagator.value": lambda one: Propagator(CnfFormula(2)).value(one),
+}
+
+
+@pytest.mark.parametrize("one", [True, Index(1)], ids=["True", "Index(1)"])
+@pytest.mark.parametrize("site", INT_SITES.values(), ids=list(INT_SITES))
+def test_every_int_rule_refuses_a_bool_and_an_int_subclass(site, one):
+    # One rule, `type(x) is int`, at every site: both values equal 1, which
+    # each site takes as a plain int.
+    site(1)
+    with pytest.raises(ValueError):
+        site(one)
 
 
 @pytest.mark.parametrize("make", [
