@@ -79,7 +79,8 @@ class SearchStats:
     for branch-and-bound that includes the path decisions it re-makes above
     the assertion level. The SAT engine's `conflicts` are its solver's; the
     branch-and-bound engine's are falsified clauses (one per failure,
-    however many levels its backjump pops).
+    however many levels its backjump pops). `propagations`, also read off
+    the store, counts every literal that unit propagation assigned.
 
     `conflicts` is the count on the run's `BudgetClock`: under
     `Budget(max_conflicts=k)` either engine stops at k. The conflict that
@@ -91,6 +92,7 @@ class SearchStats:
     solve_calls: int = 0
     conflicts: int = 0
     decisions: int = 0
+    propagations: int = 0
     minimize_steps: int = 0      # neither engine shrinks a set; always 0
     elapsed_ms: float = 0.0
     timed_out: bool = False
@@ -475,5 +477,6 @@ def enumerate_sets(net: PetriNet, store: Propagator, search,
     stats.timed_out = clock.timed_out
     stats.conflicts = clock.conflicts
     stats.decisions = store.decisions
+    stats.propagations = store.propagations
     stats.elapsed_ms = clock.elapsed_ms
     return result

@@ -236,16 +236,16 @@ def red8_rxn() -> PetriNet:
 
 
 @pytest.mark.parametrize("make, sat_counts, bb_counts", [
-    (lambda: gen_chain(10), (1024, 1025, 528, 1551), (1024, 1025, 1023, 3579)),
-    (lambda: gen_chain(10).dual(), (1024, 1025, 512, 1535), (1024, 1025, 513, 2559)),
+    (lambda: gen_chain(10), (1024, 1025, 528, 1551, 4728), (1024, 1025, 1023, 3579, 4330)),
+    (lambda: gen_chain(10).dual(), (1024, 1025, 512, 1535, 4600), (1024, 1025, 513, 2559, 3088)),
     (lambda: gen_3sat_reduction(gen_random_3sat(50, 213, 0)),
-     (232, 233, 584, 12928), (232, 233, 4794, 22434)),
+     (232, 233, 584, 12928, 22171), (232, 233, 4794, 22434, 105409)),
     (lambda: gen_3sat_reduction(gen_random_3sat(50, 300, 0)),
-     (50, 51, 119, 1356), (50, 51, 352, 1994)),
-    (red8_rxn, (9, 10, 26, 67), (9, 10, 12532, 28803)),
+     (50, 51, 119, 1356, 4981), (50, 51, 352, 1994, 13118)),
+    (red8_rxn, (9, 10, 26, 67, 341), (9, 10, 12532, 28803, 64502)),
 ], ids=["chain10", "chain10-traps", "reduction50-213", "reduction50-300", "red8-rxn"])
 def test_effort_counters_are_pinned(make, sat_counts, bb_counts):
-    # (sets, solve calls, conflicts, decisions) of each engine. The counters
+    # (sets, solve calls, conflicts, decisions, propagations) of each engine. The counters
     # are deterministic, so a change to the search paths that alters the
     # work they do shows here on any machine.
     net = make()
@@ -253,7 +253,8 @@ def test_effort_counters_are_pinned(make, sat_counts, bb_counts):
         res = enumerate_(net)
         stats = res.stats
         assert res.complete
-        assert (len(res.sets), stats.solve_calls, stats.conflicts, stats.decisions) == counts
+        assert (len(res.sets), stats.solve_calls, stats.conflicts, stats.decisions,
+                stats.propagations) == counts
 
 
 @pytest.mark.parametrize("make, siphons_md5, traps_md5", [
