@@ -9,7 +9,7 @@
 import random
 from dataclasses import dataclass
 
-from .encoding import CnfFormula, export_dimacs
+from .encoding import CnfFormula, check_clause, export_dimacs
 from .net import PetriNet
 
 
@@ -30,19 +30,21 @@ def gen_chain(n: int) -> PetriNet:
 
 @dataclass(frozen=True)
 class ThreeSatInstance:
-    """A 3-SAT formula: clauses of three signed variables, no repeats inside a clause."""
+    """A 3-SAT formula: clauses of three signed variables, no repeats inside a
+    clause. `num_vars` and every literal are plain ints, as `check_clause`
+    takes them."""
 
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.num_vars < 3:
+        if type(self.num_vars) is not int or self.num_vars < 3:
             raise ValueError("need at least 3 variables")
         for clause in self.clauses:
             if len(clause) != 3:
                 raise ValueError(f"clause {clause!r} does not have 3 literals")
-            vs = {abs(lit) for lit in clause}
-            if 0 in vs or len(vs) != 3 or max(vs) > self.num_vars:
+            literals = check_clause(clause, self.num_vars)
+            if literals is None or len(literals) != 3:
                 raise ValueError(f"bad clause {clause!r}")
 
     @property

@@ -343,6 +343,16 @@ class Propagator:
         # Attributes are read into locals once per call: this loop runs on
         # instances of two classes, so attribute lookups on self miss the
         # interpreter's per-type caches whenever the engines alternate.
+        #
+        # Most visits find the clause's other watch already true and keep
+        # it: two subscripts for the other watch, one for its value and the
+        # write back at `j`. Such a clause is kept without swapping the
+        # false watch to position 1. No one can see that: only a visit that
+        # goes on to look for a new watch, assert or conflict can make the
+        # clause a reason or a conflict, and that visit puts the false watch
+        # at position 1 first. Kept entries are compacted in place; on a
+        # conflict the `moved` entries behind `j` are dropped and the
+        # unvisited tail stays.
         assign = self.assign
         clauses = self.clauses
         spans = self.spans
@@ -358,25 +368,26 @@ class Propagator:
             false_lit = -trail[qhead]
             qhead += 1
             watchers = watches[false_lit]
-            i = j = 0
-            n_watch = len(watchers)
-            while i < n_watch:
-                ci = watchers[i]
-                i += 1
+            j = moved = 0
+            for ci in watchers:
                 clause = clauses[ci]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
                 a = assign[first]
                 if a == 1:
                     watchers[j] = ci
                     j += 1
                     continue
+                clause[0] = first
+                clause[1] = false_lit
                 for k in spans[ci]:
                     other = clause[k]
                     if assign[other] != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
+                        clause[1] = other
+                        clause[k] = false_lit
                         watches[other].append(ci)
+                        moved += 1
                         break
                 else:
                     watchers[j] = ci
@@ -388,7 +399,7 @@ class Propagator:
                         reason[first] = ci
                         push(first)
                     else:
-                        del watchers[j:i]
+                        del watchers[j:j + moved]
                         self.qhead = len(trail)
                         self.propagations += len(trail) - start
                         return ci
@@ -401,12 +412,18 @@ class Propagator:
 
     def decide(self, var: int, value: bool) -> bool:
         """Open a decision level, assign, propagate; False on conflict, with
-        the falsified clause's index left in `conflict`."""
+        the falsified clause's index left in `conflict`. On a store already
+        UNSAT at the root, whose intake may have stopped before its last
+        clauses, the level is opened but nothing propagates: False, with
+        `conflict` None."""
         if type(var) is not int or not 1 <= var <= self.num_vars:
             raise ValueError(f"invalid variable {var!r}")
         if self.assign[var]:
             raise ValueError(f"variable {var} is already assigned")
         self._open_level(var if value else -var)
+        if self.conflicting:
+            self.conflict = None
+            return False
         self.conflict = self._propagate()
         return self.conflict is None
 

@@ -67,6 +67,21 @@ def test_propagator_root_conflict():
     assert prop.conflicting
 
 
+def test_decide_on_a_store_unsat_at_the_root_reports_a_conflict():
+    # The intake stops at [-1], so [2, 3] is never attached and nothing
+    # would propagate -2 to 3: the store must not call the trail [1, -2]
+    # consistent.
+    f = CnfFormula(3)
+    for clause in ([1], [-1], [2, 3]):
+        f.add_clause(clause)
+    prop = Propagator(f)
+    assert prop.conflicting
+    assert not prop.decide(2, False)
+    assert prop.conflict is None
+    prop.backtrack()
+    assert prop.decision_level == 0
+
+
 def random_cnf(rng, num_vars):
     clauses = []
     for _ in range(rng.randint(1, 3 * num_vars)):

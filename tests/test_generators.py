@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +49,24 @@ def test_3sat_instance_validation():
         ThreeSatInstance(3, ((1, 1, 2),))        # repeated variable
     inst = ThreeSatInstance(4, ((1, -2, 3),))
     assert inst.alpha == 0.25
+
+
+class Var(IntEnum):
+    X1 = 1
+
+
+@pytest.mark.parametrize("num_vars, clause", [
+    (3, (True, 2, 3)),        # a bool literal
+    (3, (1.0, 2, 3)),         # a float literal
+    (3, (Var.X1, 2, 3)),      # an int subclass
+    (3.5, (1, 2, 3)),         # a float variable count
+], ids=["bool", "float", "intenum", "float-num-vars"])
+def test_3sat_instance_takes_plain_ints_only(num_vars, clause):
+    # Each of these used to be accepted, and a bool literal was exported as
+    # `True 2 3 0`, which parse_dimacs refuses.
+    assert ThreeSatInstance(3, ((1, 2, 3),)).to_dimacs()
+    with pytest.raises(ValueError):
+        ThreeSatInstance(num_vars, (clause,))
 
 
 def test_random_3sat_determinism():
