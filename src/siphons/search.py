@@ -343,16 +343,12 @@ class Propagator:
         # Attributes are read into locals once per call: this loop runs on
         # instances of two classes, so attribute lookups on self miss the
         # interpreter's per-type caches whenever the engines alternate.
-        #
-        # Most visits find the clause's other watch already true and keep
-        # it: two subscripts for the other watch, one for its value and the
-        # write back at `j`. Such a clause is kept without swapping the
-        # false watch to position 1. No one can see that: only a visit that
-        # goes on to look for a new watch, assert or conflict can make the
-        # clause a reason or a conflict, and that visit puts the false watch
-        # at position 1 first. Kept entries are compacted in place; on a
-        # conflict the `moved` entries behind `j` are dropped and the
-        # unvisited tail stays.
+        # Most visits keep the clause, as its other watch is true. That costs
+        # two subscripts, a value read and the write back at `j`, and no
+        # swap: only a visit that goes on to move a watch, assert or
+        # conflict makes the clause a reason or a conflict, and that visit
+        # puts the false watch at position 1 first. A conflict drops the
+        # `moved` entries behind `j` and keeps the unvisited tail.
         assign = self.assign
         clauses = self.clauses
         spans = self.spans
@@ -412,10 +408,8 @@ class Propagator:
 
     def decide(self, var: int, value: bool) -> bool:
         """Open a decision level, assign, propagate; False on conflict, with
-        the falsified clause's index left in `conflict`. On a store already
-        UNSAT at the root, whose intake may have stopped before its last
-        clauses, the level is opened but nothing propagates: False, with
-        `conflict` None."""
+        the falsified clause's index left in `conflict`. A store already
+        UNSAT at the root propagates nothing: False, with `conflict` None."""
         if type(var) is not int or not 1 <= var <= self.num_vars:
             raise ValueError(f"invalid variable {var!r}")
         if self.assign[var]:
