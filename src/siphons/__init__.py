@@ -10,8 +10,9 @@ brute-force oracles for cross-checking.
 from .analysis import (SiphonReportRow, SiphonTrapReport, brute_force_minimal_siphons,
                        brute_force_minimal_traps, canonical_order,
                        enumerate_minimal_siphons, enumerate_minimal_traps,
-                       filter_containing, max_trap_within, siphon_trap_report)
-from .branch_bound import enumerate_minimal_bb, first_solution_is_minimal_check
+                       filter_containing, first_solution_is_minimal_check,
+                       max_trap_within, siphon_trap_report)
+from .branch_bound import enumerate_minimal_bb
 from .dynamics import (check_siphon_emptiness, check_trap_persistence, random_walk,
                        unmarked_places, walk_trace)
 from .encoding import (Assignment, Clause, CnfFormula, VarMap, blocking_clause,

@@ -1,6 +1,7 @@
 """Siphon/trap analysis: engine dispatch, trap enumeration through the dual
 net, containment filtering, maximal-trap extraction, marking reports, and
-small brute-force oracles used to cross-check the engines."""
+small brute-force oracles used to cross-check the engines, among them the
+check that bb's first set is one of the oracle's minimal siphons."""
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -130,6 +131,17 @@ def brute_force_minimal_siphons(net: PetriNet) -> list[PlaceSet]:
 def brute_force_minimal_traps(net: PetriNet) -> list[PlaceSet]:
     """Trap oracle built directly on the trap condition, no dualization."""
     return _oracle(net, net.post_transitions, net.pre_transitions)
+
+
+def first_solution_is_minimal_check(net: PetriNet) -> bool:
+    """Verify that the first set of the bb run is inclusion-minimal by
+    finding it among the oracle's minimal siphons. `accept` has already
+    certified it as a siphon, and the oracle shares no code with the
+    engines."""
+    if len(net.places) > 12:
+        raise ValueError("exhaustive minimality check is limited to 12 places")
+    sets = enumerate_minimal_bb(net).sets
+    return not sets or sets[0] in brute_force_minimal_siphons(net)
 
 
 @dataclass

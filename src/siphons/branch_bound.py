@@ -24,6 +24,9 @@ only clauses added are the blocking clauses.
 The search is a generator under the shared driver, `search.enumerate_sets`,
 which asks the run's one `BudgetClock` after each solution. The search asks
 it after each backjump, so it stops at `max_conflicts` as the SAT engine does.
+Every failure leaves its level on the decision stack, so a failure is never
+met at the root. `analysis.first_solution_is_minimal_check` cross-checks the
+first solution against the brute-force oracle.
 """
 
 from .encoding import blocking_clause, encode_siphon
@@ -140,9 +143,12 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, emit):
         return
     while True:
         if not consistent:
+            # `stack` is never empty here: `decide` pushes its level before
+            # it propagates, and a blocking clause posted at level 0 has
+            # either left the store UNSAT, which ends the search, or been
+            # propagated to fixpoint by `_add_root`, so the propagation after
+            # a set can fail only above level 0.
             clock.conflicts += 1
-            if not stack:
-                break  # a conflict at the root: nothing is left
             var, value, recorded = stack[-1]
             if value and recorded == (1 << len(stack)) - 2:
                 # A 1-branch whose 0-branch depended on every level below:
@@ -226,19 +232,3 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     return enumerate_sets(net, prop,
                           lambda clock: _search(prop, varmap, clock, emit),
                           budget, emit)
-
-
-def first_solution_is_minimal_check(net: PetriNet) -> bool:
-    """Verify that the first set of the bb run is inclusion-minimal by
-    checking every proper nonempty subset against the siphon predicate."""
-    if len(net.places) > 12:
-        raise ValueError("exhaustive minimality check is limited to 12 places")
-    sets = enumerate_minimal_bb(net).sets
-    if not sets:
-        return True  # no solutions at all
-    members = sorted(sets[0])
-    for mask in range(1, (1 << len(members)) - 1):
-        subset = [members[i] for i in range(len(members)) if mask >> i & 1]
-        if net.is_siphon(subset):
-            return False
-    return True

@@ -4,6 +4,9 @@
 - 3-SAT reduction: a net whose minimal siphons through the seed place q0
   correspond to satisfying partial assignments of the formula, so siphon
   enumeration inherits the random 3-SAT phase transition (alpha ~ 4.26).
+
+Every count a generator takes is a plain int, as `ThreeSatInstance` takes
+them: a bool or a float is refused with a ValueError naming the parameter.
 """
 
 import random
@@ -15,8 +18,8 @@ from .net import PetriNet
 
 def gen_chain(n: int) -> PetriNet:
     """Pairs (Ai, Bi) with Ti: Ai + Bi => A(i+1) + B(i+1), cyclically."""
-    if n < 1:
-        raise ValueError("chain needs n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an int >= 1")
     places = []
     for i in range(1, n + 1):
         places.append(f"A{i}")
@@ -68,10 +71,10 @@ def gen_random_3sat(n: int, m: int, seed: int = 0) -> ThreeSatInstance:
     Duplicate clauses across draws are allowed, as in the usual random
     3-SAT model.
     """
-    if n < 3:
-        raise ValueError("need at least 3 variables")
-    if m < 0:
-        raise ValueError("clause count must be >= 0")
+    if type(n) is not int or n < 3:
+        raise ValueError("n (the variable count) must be an int >= 3")
+    if type(m) is not int or m < 0:
+        raise ValueError("m (the clause count) must be an int >= 0")
     rng = random.Random(seed)
     clauses = []
     for _ in range(m):
@@ -103,12 +106,12 @@ def gen_3sat_reduction(instance: ThreeSatInstance) -> PetriNet:
 
 def gen_random_net(n_places: int, n_transitions: int, degree: int, seed: int = 0) -> PetriNet:
     """Random net: each transition consumes and produces 1..degree distinct places."""
-    if n_places < 1:
-        raise ValueError("need at least one place")
-    if n_transitions < 0:
-        raise ValueError("transition count must be >= 0")
-    if not 1 <= degree <= n_places:
-        raise ValueError("degree must be between 1 and the place count")
+    if type(n_places) is not int or n_places < 1:
+        raise ValueError("n_places must be an int >= 1")
+    if type(n_transitions) is not int or n_transitions < 0:
+        raise ValueError("n_transitions must be an int >= 0")
+    if type(degree) is not int or not 1 <= degree <= n_places:
+        raise ValueError("degree must be an int between 1 and n_places")
     rng = random.Random(seed)
     places = [f"p{i}" for i in range(1, n_places + 1)]
     specs = []

@@ -92,10 +92,11 @@ def parse_reactions(text: str) -> tuple[PetriNet, Marking]:
         if len(parts) < 3:
             raise ParseError("expected '=>' or '<=>'", lineno)
         sides, ops = parts[0::2], parts[1::2]
-        offset = len(line) - len(body)
+        col = len(line) - len(body)  # where each side starts, counted as it goes
         side_counts = []
-        for chunk in sides:
-            side_counts.append(_parse_side(chunk, lineno, offset + body.index(chunk)))
+        for chunk, op in zip(sides, ops + [""]):
+            side_counts.append(_parse_side(chunk, lineno, col))
+            col += len(chunk) + len(op)
         for counts in side_counts:
             species.update(dict.fromkeys(counts))
         for k, op in enumerate(ops):

@@ -190,7 +190,7 @@ class SatSolver(Propagator):
                     self._enqueue(lit, None)
                     break
             else:  # every assumption holds: branch, or stop at a full model
-                if len(self.trail) == self.num_vars:
+                if self.all_assigned():
                     self.model = tuple(self.assign[v] == 1 for v in range(1, self.num_vars + 1))
                     if n_assumptions:
                         self._cancel_until(0)

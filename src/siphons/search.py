@@ -8,8 +8,8 @@ conflict learning. Both post each blocking clause through `add_clause`,
 which checks it and resumes the search at the clause's assertion level;
 the SAT solver posts its learned clauses, unchecked, through the same
 `_post`. Every other clause enters by the one root intake, `_add_root`.
-Truth values, levels and reasons are indexed by literal, as in MiniSat, so
-reading one takes no sign arithmetic.
+Truth values, levels, reasons and watch lists are indexed by literal, as in
+MiniSat, so reading one takes no sign arithmetic.
 
 `enumerate_sets` is the one enumeration driver: each engine encodes the
 net, builds its store and hands the driver a generator that only searches.
@@ -150,7 +150,8 @@ class Propagator:
     every public entry checks that a variable is an int in range. `level`
     and `reason` are kept under the true literal: the decision level at
     which it was assigned, and the index of the clause that forced it (None
-    for a decision or a root unit).
+    for a decision or a root unit). `watches[lit]` lists the clauses that
+    watch lit, in the same layout.
     Branching takes the lowest-index unassigned variable, found by a cursor
     below which every variable is assigned. `decisions` counts each level
     `_open_level` opens, for a `decide` or a SAT branch, and `propagations`
@@ -169,10 +170,7 @@ class Propagator:
         self.qhead = 0
         self.clauses: list[list[int]] = []   # positions 0 and 1 are watched
         self.spans: list[range] = []         # range(2, len(clause)) per clause
-        self.watches: dict[int, list[int]] = {}
-        for v in range(1, n + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
         self._next_var = 1                   # every variable below it is assigned
         self.conflicting = False             # a root-level clause is falsified
         self.conflict: int | None = None     # the clause the last `decide` falsified
@@ -209,14 +207,9 @@ class Propagator:
     def _open_level(self, lit: int) -> None:
         """Count a decision, open its level and assign lit true there."""
         self.decisions += 1
-        trail = self.trail
-        self.trail_lim.append(len(trail))
+        self.trail_lim.append(len(self.trail))
         self.decision_level += 1
-        self.assign[lit] = 1
-        self.assign[-lit] = -1
-        self.level[lit] = self.decision_level
-        self.reason[lit] = None
-        trail.append(lit)
+        self._enqueue(lit, None)
 
     def _cancel_until(self, target: int) -> None:
         """Unassign every decision level above `target`."""

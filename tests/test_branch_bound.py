@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
-from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus,
+from siphons import (Budget, CnfFormula, EnumerationResult, Propagator, SatSolver, SolveStatus,
                      brute_force_minimal_siphons, brute_force_minimal_traps, encode_siphon,
                      enumerate_minimal_bb, enumerate_minimal_sat, evaluate,
                      first_solution_is_minimal_check, gen_3sat_reduction, gen_chain,
                      gen_random_3sat, gen_random_net)
+from siphons import analysis
 from siphons.branch_bound import _Dependencies
 
 from conftest import (enzyme_net, example2_net, least_model_order, random_net_corpus,
@@ -80,6 +81,19 @@ def test_decide_on_a_store_unsat_at_the_root_reports_a_conflict():
     assert prop.conflict is None
     prop.backtrack()
     assert prop.decision_level == 0
+
+
+def test_propagator_input_errors():
+    prop = Propagator(CnfFormula(2))
+    assert prop.add_clause([1, -1])  # a tautology leaves the store as it was
+    assert (prop.clauses, prop.trail, prop.watches) == ([], [], [[] for _ in range(5)])
+    with pytest.raises(ValueError) as err:
+        prop.backtrack()
+    assert str(err.value) == "already at the root level"
+    assert prop.decide(1, True)
+    with pytest.raises(ValueError) as err:
+        prop.decide(1, False)
+    assert str(err.value) == "variable 1 is already assigned"
 
 
 def random_cnf(rng, num_vars):
@@ -254,6 +268,23 @@ def test_bb_first_solution_is_minimal():
     for seed in range(50):
         net = random_net_corpus(1, base_seed=seed)[0]
         assert first_solution_is_minimal_check(net)
+
+
+def test_first_solution_check_refuses_a_first_set_that_is_not_minimal(monkeypatch):
+    # {A, AE, E} is a siphon of the enzyme net, the union of its two
+    # minimal siphons.
+    net = enzyme_net()
+    union = net.place_set("A", "AE", "E")
+    assert net.is_siphon(union)
+    monkeypatch.setattr(analysis, "enumerate_minimal_bb",
+                        lambda net: EnumerationResult(sets=[union]))
+    assert not first_solution_is_minimal_check(net)
+
+
+def test_first_solution_check_is_limited_to_12_places():
+    with pytest.raises(ValueError) as err:
+        first_solution_is_minimal_check(gen_chain(7))  # 14 places
+    assert str(err.value) == "exhaustive minimality check is limited to 12 places"
 
 
 def test_bb_matches_sat_engine():

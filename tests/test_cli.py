@@ -284,6 +284,26 @@ def test_stats_bad_directory(tmp_path):
     assert run(["stats", str(tmp_path / "void")])[0] == 1
 
 
+def test_stats_lists_an_unparseable_model(models_dir, tmp_path):
+    (tmp_path / "enzyme.rxn").write_text((models_dir / "enzyme.rxn").read_text())
+    (tmp_path / "bad.rxn").write_text("A => => B\n")
+    code, out, err = run(["stats", str(tmp_path), "--output", "json"])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)["summary"]
+    assert summary["models"] == 1 and summary["unparseable"] == ["bad.rxn"]
+
+
+def test_stats_without_model_files_is_a_usage_error(tmp_path):
+    (tmp_path / "notes.txt").write_text("no model here\n")
+    code, out, err = run(["stats", str(tmp_path)])
+    assert (code, out) == (1, "") and err == f"error: no model files in {tmp_path}\n"
+
+
+def test_sweep_refuses_zero_trials():
+    code, out, err = run(["sweep", "--vars", "4", "--alpha", "1", "--trials", "0"])
+    assert (code, out) == (1, "") and err == "error: need at least one alpha and one trial\n"
+
+
 def _md5(data) -> str:
     return hashlib.md5(data if isinstance(data, bytes) else data.encode()).hexdigest()[:12]
 

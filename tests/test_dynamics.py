@@ -12,6 +12,12 @@ def test_walk_is_deterministic(enzyme):
     assert random_walk(enzyme, m0, steps=30, seed=9) == random_walk(enzyme, m0, steps=30, seed=9)
 
 
+def test_walk_refuses_a_negative_step_count(enzyme):
+    with pytest.raises(ValueError) as err:
+        random_walk(enzyme, enzyme.marking({"A": 1}), -1)
+    assert str(err.value) == "step count must be >= 0"
+
+
 def test_walk_seeds_differ(enzyme):
     m0 = enzyme.marking({"A": 5, "E": 5})
     walks = {tuple(random_walk(enzyme, m0, steps=40, seed=s)) for s in range(8)}

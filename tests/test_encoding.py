@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siphons import (CnfFormula, PetriNet, Propagator, VarMap, blocking_clause, encode_siphon,
-                     evaluate, export_dimacs, parse_dimacs)
+from siphons import (CnfFormula, ParseError, PetriNet, Propagator, VarMap, blocking_clause,
+                     encode_siphon, evaluate, export_dimacs, parse_dimacs)
 
 from conftest import enzyme_net, irregular_net, random_net_corpus
 
@@ -140,6 +140,24 @@ def test_dimacs_parse_errors():
         parse_dimacs("p cnf 2 1\n3 0\n")      # literal out of range
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 2\n1 0\n")      # clause count mismatch
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 2\n1 0\n", "line 1: bad problem line"),
+    ("p dnf 2 1\n1 0\n", "line 1: bad problem line"),
+    ("p cnf x 1\n1 0\n", "line 1: bad problem line"),
+    ("p cnf 2 1\n1 a 0\n", "line 2: bad literal 'a'"),
+    ("p cnf 2 1\n0\n", "line 2: empty clause"),
+    ("c a comment and nothing else\n", "missing problem line"),
+], ids=["short-problem-line", "not-cnf", "bad-count", "bad-literal", "lone-zero", "no-problem-line"])
+def test_dimacs_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == message
+
+
+def test_dimacs_last_clause_may_omit_its_zero():
+    assert parse_dimacs("p cnf 2 1\n1 -2\n").clauses == [(1, -2)]
 
 
 @settings(max_examples=60)

@@ -175,6 +175,29 @@ def test_random_net_validation():
         gen_random_3sat(3, -1)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: gen_chain(True), "n"),
+    (lambda: gen_chain(2.0), "n"),
+    (lambda: gen_random_3sat(True, 2), "n"),
+    (lambda: gen_random_3sat(5.0, 2), "n"),
+    (lambda: gen_random_3sat(5, True), "m"),
+    (lambda: gen_random_3sat(5, 2.5), "m"),
+    (lambda: gen_random_net(True, 2, 1), "n_places"),
+    (lambda: gen_random_net(3.0, 2, 1), "n_places"),
+    (lambda: gen_random_net(3, True, 1), "n_transitions"),
+    (lambda: gen_random_net(3, 2.0, 1), "n_transitions"),
+    (lambda: gen_random_net(3, 2, True), "degree"),
+    (lambda: gen_random_net(3, 2, 1.5), "degree"),
+], ids=["chain-n-bool", "chain-n-float", "3sat-n-bool", "3sat-n-float", "3sat-m-bool",
+        "3sat-m-float", "net-places-bool", "net-places-float", "net-transitions-bool",
+        "net-transitions-float", "net-degree-bool", "net-degree-float"])
+def test_generator_counts_take_plain_ints_only(make, name):
+    # A bool count used to be read as 0 or 1, and a float one failed with a
+    # TypeError or ValueError from deep inside `random` or `range`.
+    with pytest.raises(ValueError, match=f"^{name} .*must be an int"):
+        make()
+
+
 @settings(max_examples=30)
 @given(st.integers(3, 12), st.integers(0, 40), st.integers(0, 100))
 def test_reduction_place_transition_counts(n, m, seed):

@@ -175,6 +175,19 @@ def test_marking_validation(enzyme):
         enzyme.fire((0, 0), 0)  # wrong length
 
 
+def test_net_input_error_messages(enzyme):
+    with pytest.raises(ValueError) as err:
+        PetriNet.from_transitions([("t", ["A"], ["Z"])], places=["A"])
+    assert str(err.value) == "place 'Z' not in the given place list"
+    with pytest.raises(ValueError) as err:
+        enzyme.pre_places(99)
+    assert str(err.value) == "invalid transition index 99"
+    two = PetriNet.from_transitions([("t", ["A"], ["B"])])
+    with pytest.raises(ValueError) as err:
+        two.marking_dict((1, -1))
+    assert str(err.value) == "marking has a negative token count"
+
+
 @pytest.mark.parametrize("count", [True, False, 1.5, 1.0, "1", None])
 def test_marking_rejects_a_token_count_that_is_not_an_int(count):
     # A bool is an int to Python, but no token count: `marking` used to

@@ -68,6 +68,30 @@ def test_parse_errors():
             parse_pnml(text)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ('<place id="B"/>', '<place/>', "place without id"),
+    ('<arc id="a2" source="t" target="B"/>', '<arc id="a2" target="B"/>',
+     "arc without source/target"),
+    ('<transition id="t"/>', '<transition id="t"/><transition id="B"/>',
+     "id used for both a place and a transition"),
+    ('<transition id="t"/>',
+     '<transition id="t"/><transition id="a"/><transition id="b"/>'
+     '<arc id="a3" source="a" target="b"/>',
+     "arc between two transitions: a -> b"),
+], ids=["place-without-id", "arc-without-source", "shared-id", "transition-arc"])
+def test_parse_error_messages(old, new, message):
+    assert old in SMALL
+    with pytest.raises(ParseError) as err:
+        parse_pnml(SMALL.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_initial_marking_without_text_is_zero():
+    net, marking = parse_pnml(SMALL.replace("<initialMarking><text>2</text></initialMarking>",
+                                            "<initialMarking/>"))
+    assert net.places == ("A", "B") and marking == (0, 0)
+
+
 def test_export_golden_shape():
     net, marking = parse_pnml(SMALL)
     xml = export_pnml(net, marking)

@@ -86,6 +86,18 @@ def test_error_positions():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, column", [
+    ("A + B + C => B +", 17),     # the second side's text also occurs in the first
+    ("A+ => B", 3),               # in the first side
+    ("r: A + B + C => B +", 20),  # a labelled line
+], ids=["repeated-text", "first-side", "labelled"])
+def test_error_columns(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_reactions(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value) == f"line 1, column {column}: empty term"
+
+
 def test_error_cases():
     for text in [
         "A B => C\n",          # missing +
