@@ -47,7 +47,7 @@ class _Dependencies:
 
     def __init__(self, prop: Propagator):
         self.prop = prop
-        self.dep: list[int] = []   # allocated by the first trace
+        self.dep = [0] * len(prop.assign)
         self.valid = 0             # levels 1..valid are filled in
         self.rooted = 0            # so are trail[:rooted], all at level 0
 
@@ -80,8 +80,6 @@ class _Dependencies:
         trail = prop.trail
         lim = prop.trail_lim
         dep = self.dep
-        if not dep:
-            dep = self.dep = [0] * len(prop.assign)
         root = lim[0] if lim else len(trail)
         if self.rooted < root:
             for x in trail[self.rooted:root]:
@@ -223,12 +221,8 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     just before the `S` line of the first searched set with a lower least
     place, or after the search ends.
     """
-    if trace is None or callable(trace):
-        emit = trace
-    else:  # file-like
-        emit = lambda line: print(line, file=trace)
     formula, varmap = encode_siphon(net)
     prop = Propagator(formula)
     return enumerate_sets(net, prop,
-                          lambda clock: _search(prop, varmap, clock, emit),
-                          budget, emit)
+                          lambda clock: _search(prop, varmap, clock, trace),
+                          budget, trace)

@@ -10,15 +10,14 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import statistics
 import sys
 from pathlib import Path
 
-from .analysis import (ENGINES, canonical_order, enumerate_minimal_siphons,
-                       enumerate_minimal_traps, filter_containing, siphon_trap_report)
+from .analysis import (ENGINES, enumerate_minimal_siphons, enumerate_minimal_traps,
+                       filter_containing, siphon_trap_report)
 from .generators import gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net
 from .encoding import encode_siphon
 from .net import PetriNet, format_names
@@ -64,11 +63,12 @@ def _spread(name: str, values: list[int]) -> dict:
 
 
 def _result_dict(net: PetriNet, sets, stats) -> dict:
-    ordered = canonical_order(net, sets)
+    # `canonical_order`: a set and its names have the same size
+    names = sorted(map(net.set_names, sets), key=lambda n: (len(n), n))
     return {
-        "count": len(ordered),
-        "sets": [list(net.set_names(s)) for s in ordered],
-        **_spread("size", [len(s) for s in ordered]),
+        "count": len(names),
+        "sets": [list(n) for n in names],
+        **_spread("size", [len(n) for n in names]),
         "elapsed_ms": round(stats.elapsed_ms, 3),
         "timed_out": stats.timed_out,
         "solve_calls": stats.solve_calls,
@@ -100,9 +100,10 @@ def cmd_analyze(args) -> int:
         payload["contains"] = sorted(net.places[p] for p in required)
     siphons = None  # all minimal siphons, before --contains, for the report
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_file:
+        trace = functools.partial(print, file=trace_file) if trace_file else None
         for target in targets:
             run = enumerate_minimal_siphons if target == "siphons" else enumerate_minimal_traps
-            result = run(net, engine=args.engine, budget=budget, trace=trace_file)
+            result = run(net, engine=args.engine, budget=budget, trace=trace)
             if target == "siphons":
                 siphons = result
             sets = result.sets if required is None else filter_containing(result.sets, required)
@@ -135,10 +136,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _write_net(net: PetriNet, out: Path) -> None:
-    out.write_text(export_reactions(net) if out.suffix == ".rxn" else export_pnml(net))
-
-
 def cmd_gen(args) -> int:
     out = Path(args.out)
     instance = None
@@ -148,8 +145,10 @@ def cmd_gen(args) -> int:
         instance = gen_random_3sat(args.vars, args.clauses, args.seed)
         net = gen_3sat_reduction(instance)
     else:
+        if args.degree > args.places:
+            raise ValueError("--degree must be an int between 1 and --places")
         net = gen_random_net(args.places, args.transitions, args.degree, args.seed)
-    _write_net(net, out)
+    out.write_text(export_reactions(net) if out.suffix == ".rxn" else export_pnml(net))
     if instance is not None:
         cnf = out.with_suffix(".cnf")
         cnf.write_text(instance.to_dimacs())
@@ -196,14 +195,10 @@ def cmd_sweep(args) -> int:
             "timed_out": round(timeouts / args.trials, 3),
             "siphon_count": statistics.median_low(counts),
         })
-    text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.out:
-        Path(args.out).write_text(text.getvalue())
-    else:
-        sys.stdout.write(text.getvalue())
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 
@@ -264,6 +259,18 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse `type` for a count flag: an int >= low. Its errors name
+    the flag, as argparse prefixes them with it."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an int >= {low}")
+        return value
+    parse.__name__ = "int"  # so text int() refuses is an "invalid int value"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; `parse_args` does not change it."""
@@ -292,23 +299,23 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate benchmark nets")
     gensub = gen.add_subparsers(dest="family", required=True)
     chain = gensub.add_parser("chain")
-    chain.add_argument("--n", type=int, required=True)
+    chain.add_argument("--n", type=_int_at_least(1), required=True)
     chain.add_argument("out")
     reduction = gensub.add_parser("sat-reduction")
-    reduction.add_argument("--vars", type=int, required=True)
-    reduction.add_argument("--clauses", type=int, required=True)
+    reduction.add_argument("--vars", type=_int_at_least(3), required=True)
+    reduction.add_argument("--clauses", type=_int_at_least(0), required=True)
     reduction.add_argument("--seed", type=int, default=0)
     reduction.add_argument("out")
     rand = gensub.add_parser("random-net")
-    rand.add_argument("--places", type=int, required=True)
-    rand.add_argument("--transitions", type=int, required=True)
-    rand.add_argument("--degree", type=int, default=4)
+    rand.add_argument("--places", type=_int_at_least(1), required=True)
+    rand.add_argument("--transitions", type=_int_at_least(0), required=True)
+    rand.add_argument("--degree", type=_int_at_least(1), default=4)
     rand.add_argument("--seed", type=int, default=0)
     rand.add_argument("out")
     gen.set_defaults(func=cmd_gen)
 
     sweep = sub.add_parser("sweep", help="hardness sweep over random 3-SAT reductions")
-    sweep.add_argument("--vars", type=int, default=50)
+    sweep.add_argument("--vars", type=_int_at_least(3), default=50)
     sweep.add_argument("--alpha", default=SWEEP_ALPHAS,
                        help="comma-separated clause/variable ratios")
     sweep.add_argument("--trials", type=int, default=5)

@@ -10,6 +10,8 @@ def _walk(net: PetriNet, marking: Marking, steps: int,
           seed: int) -> list[tuple[int | None, Marking]]:
     """(fired transition, marking) pairs of a seeded uniform random walk,
     starting with (None, initial marking); stops early at deadlock."""
+    if type(steps) is not int:
+        raise ValueError(f"step count must be an int, not {steps!r}")
     if steps < 0:
         raise ValueError("step count must be >= 0")
     net._check_marking(marking)

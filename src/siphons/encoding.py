@@ -44,8 +44,8 @@ class CnfFormula:
     """Clause store over variables 1..num_vars, duplicate- and tautology-free."""
 
     def __init__(self, num_vars: int):
-        if num_vars < 1:
-            raise ValueError("formula needs at least one variable")
+        if type(num_vars) is not int or num_vars < 1:
+            raise ValueError("num_vars must be an int >= 1")
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
         # The clauses as literal sets, built on the first `add_clause`, so a
@@ -162,7 +162,8 @@ def export_dimacs(formula: CnfFormula, varmap: VarMap | None = None) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF; comments are ignored, clauses may span lines."""
+    """Parse DIMACS CNF; comments are ignored, clauses may span lines. Every
+    malformed input raises a `ParseError`, with its line where it has one."""
     num_vars = None
     expected = None
     literals: list[int] = []
@@ -175,10 +176,12 @@ def parse_dimacs(text: str) -> CnfFormula:
             break  # SATLIB trailer: "%" then a stray "0" line
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError("bad problem line", lineno)
+            if num_vars is not None or len(parts) != 4 or parts[1] != "cnf":
+                raise ParseError("bad problem line", lineno)  # a second one too
             try:
                 num_vars, expected = int(parts[2]), int(parts[3])
+                if num_vars < 1 or expected < 0:
+                    raise ValueError
             except ValueError:
                 raise ParseError("bad problem line", lineno) from None
             continue
@@ -187,6 +190,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         for token in line.split():
             try:
                 lit = int(token)
+                if abs(lit) > num_vars:
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"bad literal {token!r}", lineno) from None
             if lit == 0:

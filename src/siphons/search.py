@@ -104,13 +104,9 @@ class EnumerationResult:
 
     sets: list[frozenset[int]] = field(default_factory=list)
     stats: SearchStats = field(default_factory=SearchStats)
-    # `sets` grouped by size, for `accept`.
-    _by_size: dict[int, set[frozenset[int]]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._by_size = {}
-        for s in self.sets:
-            self._by_size.setdefault(len(s), set()).add(s)
+    # the sets `accept` appended, grouped by size
+    _by_size: dict[int, set[frozenset[int]]] = field(default_factory=dict, init=False,
+                                                     repr=False, compare=False)
 
     @property
     def complete(self) -> bool:
@@ -121,10 +117,10 @@ class EnumerationResult:
 
 
 def accept(net: PetriNet, result: EnumerationResult, s: frozenset[int]) -> None:
-    """Certify an emitted set as a siphon incomparable with every earlier
-    one, then append it to the result. Distinct sets of one size are never
-    comparable, so the set is looked up among those of its own size and
-    subset-tested only against the other sizes."""
+    """Certify an emitted set as a siphon incomparable with every set this
+    function appended to the result before, then append it. Distinct sets of
+    one size are never comparable, so the set is looked up among those of
+    its own size and subset-tested only against the other sizes."""
     if not net.is_siphon(s):
         raise RuntimeError("enumerated set fails the siphon predicate")
     size = len(s)

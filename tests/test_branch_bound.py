@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -297,7 +298,7 @@ def test_bb_matches_sat_engine():
 def test_bb_trace_format(tmp_path, enzyme):
     path = tmp_path / "trace.txt"
     with open(path, "w") as fh:
-        enumerate_minimal_bb(enzyme, trace=fh)
+        enumerate_minimal_bb(enzyme, trace=functools.partial(print, file=fh))
     lines = path.read_text().splitlines()
     assert lines, "trace is empty"
     solutions = [l for l in lines if l.startswith("S ")]

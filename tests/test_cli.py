@@ -304,6 +304,27 @@ def test_sweep_refuses_zero_trials():
     assert (code, out) == (1, "") and err == "error: need at least one alpha and one trial\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "chain", "--n", "0", "OUT"], "--n"),
+    (["gen", "sat-reduction", "--vars", "2", "--clauses", "3", "OUT"], "--vars"),
+    (["gen", "sat-reduction", "--vars", "3", "--clauses", "-1", "OUT"], "--clauses"),
+    (["gen", "random-net", "--places", "0", "--transitions", "2", "OUT"], "--places"),
+    (["gen", "random-net", "--places", "4", "--transitions", "-1", "OUT"], "--transitions"),
+    (["gen", "random-net", "--places", "4", "--transitions", "2", "--degree", "0", "OUT"],
+     "--degree"),
+    (["gen", "random-net", "--places", "3", "--transitions", "2", "OUT"], "--places"),
+    (["sweep", "--vars", "2", "--alpha", "1", "--trials", "1", "--out", "OUT"], "--vars"),
+], ids=["n", "vars", "clauses", "places", "transitions", "degree", "degree-above-places",
+        "sweep-vars"])
+def test_count_errors_name_the_flag(tmp_path, argv, flag):
+    # A count below its bound is a usage error that names the flag, not the
+    # generator's parameter, and nothing is written.
+    code, out, err = run([str(tmp_path / "out.rxn") if a == "OUT" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert flag in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
 def _md5(data) -> str:
     return hashlib.md5(data if isinstance(data, bytes) else data.encode()).hexdigest()[:12]
 

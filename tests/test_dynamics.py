@@ -18,6 +18,14 @@ def test_walk_refuses_a_negative_step_count(enzyme):
     assert str(err.value) == "step count must be >= 0"
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0])
+def test_walks_refuse_a_float_step_count(enzyme, steps):
+    m0 = enzyme.marking({"A": 1})
+    for walk in (random_walk, walk_trace):
+        with pytest.raises(ValueError, match="step count must be an int"):
+            walk(enzyme, m0, steps)
+
+
 def test_walk_seeds_differ(enzyme):
     m0 = enzyme.marking({"A": 5, "E": 5})
     walks = {tuple(random_walk(enzyme, m0, steps=40, seed=s)) for s in range(8)}

@@ -149,7 +149,15 @@ def test_dimacs_parse_errors():
     ("p cnf 2 1\n1 a 0\n", "line 2: bad literal 'a'"),
     ("p cnf 2 1\n0\n", "line 2: empty clause"),
     ("c a comment and nothing else\n", "missing problem line"),
-], ids=["short-problem-line", "not-cnf", "bad-count", "bad-literal", "lone-zero", "no-problem-line"])
+    ("p cnf 0 0\n", "line 1: bad problem line"),
+    ("p cnf -2 1\n1 0\n", "line 1: bad problem line"),
+    ("c header\np cnf 2 -1\n", "line 2: bad problem line"),
+    ("p cnf 3 1\n5 0\n", "line 2: bad literal '5'"),
+    ("p cnf 3 2\n1 2\n-3 -4 0\n2 0\n", "line 3: bad literal '-4'"),
+    ("p cnf 3 1\n3 0\np cnf 1 1\n", "line 3: bad problem line"),
+], ids=["short-problem-line", "not-cnf", "bad-count", "bad-literal", "lone-zero",
+        "no-problem-line", "no-variables", "negative-variables", "negative-clauses", "literal-above-range",
+        "negative-literal-above-range", "second-problem-line"])
 def test_dimacs_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_dimacs(text)

@@ -312,7 +312,7 @@ class Index(int):
     """An int subclass, such as an `IntEnum` member; no index rule accepts it."""
 
 
-INT_SITES = {  # each call takes the plain int 1 as an index, a weight or a literal
+INT_SITES = {  # each call takes the plain int 1 as an index, a weight, a literal or a count
     "arc index": lambda one: PetriNet(["a", "b"], ["t"], {(one, 0): 1}),
     "arc weight": lambda one: PetriNet(["a"], ["t"], {(0, 0): one}),
     "pre_transitions": lambda one: gen_chain(2).pre_transitions(one),
@@ -321,6 +321,8 @@ INT_SITES = {  # each call takes the plain int 1 as an index, a weight or a lite
     "SatSolver.solve": lambda one: SatSolver(CnfFormula(2)).solve(assumptions=[one]),
     "VarMap.var": lambda one: VarMap(["a", "b"]).var(one),
     "Propagator.value": lambda one: Propagator(CnfFormula(2)).value(one),
+    "CnfFormula": lambda one: CnfFormula(one),
+    "random_walk": lambda one: random_walk(gen_chain(2), (1, 1, 0, 0), one),
 }
 
 
