@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report the maximal marked trap inside each siphon")
     analyze.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_MS,
                          metavar="MS", help="budget in milliseconds, 0 for none")
-    analyze.add_argument("--max-conflicts", type=int, default=None, metavar="N",
+    analyze.add_argument("--max-conflicts", type=_int_at_least(0), default=None, metavar="N",
                          help="conflict budget for the whole run of each target, all solves "
                               "together; the sat and bb engines both stop at it")
     analyze.add_argument("--trace", metavar="FILE", help="bb only: write a search trace")

@@ -9,7 +9,13 @@ which checks it and resumes the search at the clause's assertion level;
 the SAT solver posts its learned clauses, unchecked, through the same
 `_post`. Every other clause enters by the one root intake, `_add_root`.
 Truth values, levels, reasons and watch lists are indexed by literal, as in
-MiniSat, so reading one takes no sign arithmetic.
+MiniSat, so reading one takes no sign arithmetic. A clause posted after the
+formula's own, blocking or learned, leaves the watch list of a false watch
+when its other watch is true at a lower level, until that level is undone;
+one satisfied at the root leaves it for good, as MiniSat removes clauses
+satisfied at the root (Een and Sorensson, SAT 2003). On a net with many
+sets, most watch visits would otherwise go to blocking clauses satisfied
+that way.
 
 `enumerate_sets` is the one enumeration driver: each engine encodes the
 net, builds its store and hands the driver a generator that only searches.
@@ -19,6 +25,8 @@ fills in every stat. Also here: budgets, stats and results.
 """
 
 import time
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -148,6 +156,18 @@ class Propagator:
     which it was assigned, and the index of the clause that forced it (None
     for a decision or a root unit). `watches[lit]` lists the clauses that
     watch lit, in the same layout.
+    Clauses from `num_input` on are the ones posted after the formula's:
+    blocking clauses and learned ones. When `_propagate` meets one whose
+    other watch is true at a level l below the current one, it takes the
+    clause off the false watch's list. At l > 0 it files the clause in
+    `held[l]`, with the true watch at position 0, and `_cancel_until` puts
+    it back under position 1 when it undoes l, which leaves both watches
+    unassigned; `held_levels` lists the levels filed under, ascending. At
+    l = 0 the clause leaves that list for good. Either way it stays listed
+    under its true watch, which stays true meanwhile. At the current level
+    the clause stays where it is: its false watch is then unassigned only
+    when l is undone, so leaving would save no visit. Input clauses stay
+    too: putting them back on every backtrack costs more than it saves.
     Branching takes the lowest-index unassigned variable, found by a cursor
     below which every variable is assigned. `decisions` counts each level
     `_open_level` opens, for a `decide` or a SAT branch, and `propagations`
@@ -167,12 +187,16 @@ class Propagator:
         self.clauses: list[list[int]] = []   # positions 0 and 1 are watched
         self.spans: list[range] = []         # range(2, len(clause)) per clause
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.held: defaultdict[int, list[int]] = defaultdict(list)
+        self.held_levels: list[int] = []
+        self.num_input = 0                   # set once the formula is in
         self._next_var = 1                   # every variable below it is assigned
         self.conflicting = False             # a root-level clause is falsified
         self.conflict: int | None = None     # the clause the last `decide` falsified
         self.propagations = 0
         self.decisions = 0
         self._add_root(map(self._stored, formula.clauses))
+        self.num_input = len(self.clauses)
 
     # -- assignment bookkeeping -------------------------------------------
 
@@ -208,7 +232,8 @@ class Propagator:
         self._enqueue(lit, None)
 
     def _cancel_until(self, target: int) -> None:
-        """Unassign every decision level above `target`."""
+        """Unassign every decision level above `target`, and put the clauses
+        held under those levels back on the watch list they left."""
         if self.decision_level <= target:
             return
         head = self.trail_lim[target]
@@ -221,10 +246,16 @@ class Propagator:
             if v < lowest:
                 lowest = v
         self._next_var = lowest
+        levels = self.held_levels
+        while levels and levels[-1] > target:
+            watches = self.watches
+            clauses = self.clauses
+            for ci in self.held.pop(levels.pop()):
+                watches[clauses[ci][1]].append(ci)
         del self.trail[head:]
         del self.trail_lim[target:]
         self.decision_level = target
-        self.qhead = len(self.trail)
+        self.qhead = head
 
     def _pick_branch(self) -> int:
         """The lowest-index unassigned variable; one must exist."""
@@ -332,12 +363,15 @@ class Propagator:
         # Attributes are read into locals once per call: this loop runs on
         # instances of two classes, so attribute lookups on self miss the
         # interpreter's per-type caches whenever the engines alternate.
-        # Most visits keep the clause, as its other watch is true. That costs
-        # two subscripts, a value read and the write back at `j`, and no
-        # swap: only a visit that goes on to move a watch, assert or
+        # Most visits find the other watch true. An input clause is then
+        # kept at the cost of an index compare and the write back at `j`,
+        # with no swap: only a visit that goes on to move a watch, assert or
         # conflict makes the clause a reason or a conflict, and that visit
-        # puts the false watch at position 1 first. A conflict drops the
-        # `moved` entries behind `j` and keeps the unvisited tail.
+        # puts the false watch at position 1 first. A posted clause whose
+        # true watch is from a lower level leaves the list instead (see the
+        # class docstring): it is filed under that level, or dropped at
+        # level 0, and counts as moved. A conflict drops the `moved` entries
+        # behind `j` and keeps the unvisited tail.
         assign = self.assign
         clauses = self.clauses
         spans = self.spans
@@ -346,7 +380,8 @@ class Propagator:
         level = self.level
         reason = self.reason
         depth = self.decision_level
-        push = trail.append
+        held = self.held
+        num_input = self.num_input
         qhead = self.qhead
         start = len(trail)
         while qhead < len(trail):
@@ -361,6 +396,18 @@ class Propagator:
                     first = clause[1]
                 a = assign[first]
                 if a == 1:
+                    if ci >= num_input:
+                        l = level[first]
+                        if l < depth:
+                            if l:
+                                clause[0] = first
+                                clause[1] = false_lit
+                                parked = held[l]
+                                if not parked:
+                                    insort(self.held_levels, l)
+                                parked.append(ci)
+                            moved += 1
+                            continue
                     watchers[j] = ci
                     j += 1
                     continue
@@ -382,7 +429,7 @@ class Propagator:
                         assign[-first] = -1
                         level[first] = depth
                         reason[first] = ci
-                        push(first)
+                        trail.append(first)
                     else:
                         del watchers[j:j + moved]
                         self.qhead = len(trail)

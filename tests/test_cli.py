@@ -164,6 +164,8 @@ def test_exit_codes(models_dir, tmp_path):
             code, out, err = run(argv + [f"--timeout={timeout}"])
             assert (code, out) == (1, "") and err.splitlines() == [
                 f"error: bad timeout {float(timeout)!r}"]
+    code, out, err = run(["analyze", str(models_dir / "enzyme.rxn"), "--max-conflicts", "-1"])
+    assert (code, out) == (1, "") and "argument --max-conflicts: must be an int >= 0" in err
 
 
 def test_parser_is_built_once_and_reused(models_dir):

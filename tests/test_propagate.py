@@ -1,19 +1,27 @@
-"""Differential tests of the watched-literal kernel `Propagator._propagate`.
+"""Differential tests of the watched-literal kernel `Propagator._propagate`,
+and a checker of the store it keeps.
 
 `reference_propagate` is the loop in its plain MiniSat form (Een and
 Sorensson, SAT 2003): a `while` over the watch list that swaps the false
-watch to position 1 on every visit, the kept ones included. The kernel in
-`search.py` must leave the same trail, levels, reasons, conflicts, counters
-and watch lists after every step; only the order of a clause's two watched
-literals may differ.
+watch to position 1 on every visit, the kept ones included, and takes a
+posted clause whose other watch is true at a lower level off the list,
+filed under that level. The kernel in `search.py` must leave the same
+trail, levels, reasons, conflicts, counters, watch lists and held clauses
+after every step; only the order of a clause's two watched literals may
+differ. `assert_store_invariant` checks where each stored clause is listed.
 """
 
+import itertools
 import random
+from bisect import insort
+from collections import Counter
 
 import pytest
 
-from siphons import (CnfFormula, Propagator, SatSolver, enumerate_minimal_bb,
-                     enumerate_minimal_sat, gen_3sat_reduction, gen_chain, gen_random_3sat)
+from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus,
+                     enumerate_minimal_bb, enumerate_minimal_sat, enumerate_minimal_siphons,
+                     enumerate_minimal_traps, gen_3sat_reduction, gen_chain, gen_random_3sat)
+from siphons import branch_bound, sat, search
 from siphons.reactions import export_reactions, parse_reactions
 
 from conftest import enzyme_cascade, random_net_corpus
@@ -46,6 +54,14 @@ def reference_propagate(self):
             first = clause[0]
             a = assign[first]
             if a == 1:
+                if ci >= self.num_input and level[first] < depth:
+                    # A posted clause leaves this list: filed under its true
+                    # watch's level, now at position 0, or dropped at the root.
+                    if level[first] > 0:
+                        if level[first] not in self.held:
+                            insort(self.held_levels, level[first])
+                        self.held[level[first]].append(ci)
+                    continue
                 watchers[j] = ci
                 j += 1
                 continue
@@ -73,6 +89,34 @@ def reference_propagate(self):
     self.qhead = qhead
     self.propagations += qhead - start
     return None
+
+
+def assert_store_invariant(prop):
+    """Every stored clause of two or more literals is listed once under each
+    of its two watched literals; or is filed under level l, listed under
+    its other watch alone, which is true at l; or is dropped, listed under
+    its other watch alone, which is true at the root. Only a clause posted
+    after the formula's own is filed. Nothing else is listed or filed."""
+    n = prop.num_vars
+    listed = Counter((lit, ci) for lit in range(-n, n + 1) for ci in prop.watches[lit])
+    filed = {}
+    for l, held in prop.held.items():
+        assert held and 0 < l <= prop.decision_level
+        for ci in held:
+            assert ci not in filed and ci >= prop.num_input
+            filed[ci] = l
+    assert prop.held_levels == sorted(prop.held)
+    for ci, clause in enumerate(prop.clauses):
+        assert len(clause) >= 2
+        under = [w for w in clause[:2] if listed.pop((w, ci), 0) == 1]
+        if len(under) == 2:
+            assert ci not in filed
+            continue
+        assert len(under) == 1, f"clause {ci} is listed under neither watch"
+        (watch,) = under
+        assert prop.assign[watch] == 1, f"clause {ci} left the list of a watch that is not true"
+        assert prop.level[watch] == filed.pop(ci, 0)
+    assert not listed and not filed
 
 
 def random_formula(rng):
@@ -104,6 +148,7 @@ def assert_same_state(real, ref, returned):
     assert [real.reason[q] for q in real.trail] == [ref.reason[q] for q in ref.trail]
     assert real.propagations == ref.propagations
     assert real.watches == ref.watches
+    assert real.held == ref.held and real.held_levels == ref.held_levels
     for a, b in zip(real.clauses, ref.clauses, strict=True):
         assert sorted(a[:2]) == sorted(b[:2]) and a[2:] == b[2:]
 
@@ -156,6 +201,7 @@ def test_kernel_matches_the_reference_kernel_step_by_step(base):
                     returned = real._propagate(), ref._propagate()
                     ok = returned[0] is None
             assert_same_state(real, ref, returned)
+            assert_store_invariant(real)
             conflicts += returned[0] is not None
             assigned += len(real.trail)
     assert walks > 250 and conflicts > 150 and resumed > 150 and assigned > 30_000
@@ -186,3 +232,55 @@ def test_engines_run_the_same_with_the_reference_kernel(monkeypatch):
     real = runs()
     monkeypatch.setattr(Propagator, "_propagate", reference_propagate)
     assert runs() == real
+
+
+def test_the_store_invariant_holds_at_every_set(monkeypatch):
+    # Whole runs, siphons and traps, both engines, cut by conflict budgets
+    # of 3, 50 and 20,000 (every run but bb's exhaustive trap searches on
+    # the reductions completes within the last): the store is checked at
+    # every set and at the end.
+    nets = [gen_chain(8), enzyme_cascade(20)]
+    nets += [gen_3sat_reduction(gen_random_3sat(n, m, seed))
+             for n, m, seed in ((12, 51, 0), (20, 60, 1), (30, 128, 2))]
+    real_enumerate_sets = search.enumerate_sets
+    held_at_sets = []
+
+    def checked_enumerate_sets(net, store, search_, budget, emit=None):
+        def checked(clock):
+            for found in search_(clock):
+                assert_store_invariant(store)
+                held_at_sets.append(sum(map(len, store.held.values())))
+                yield found
+            assert_store_invariant(store)
+        return real_enumerate_sets(net, store, checked, budget, emit)
+
+    for module in (sat, branch_bound):
+        monkeypatch.setattr(module, "enumerate_sets", checked_enumerate_sets)
+    for net, enumerate_, engine, budget in itertools.product(
+            nets, (enumerate_minimal_siphons, enumerate_minimal_traps), ("sat", "bb"),
+            (3, 50, 20_000)):
+        enumerate_(net, engine=engine, budget=Budget(max_conflicts=budget))
+    assert len(held_at_sets) > 1000 and sum(held_at_sets) > 10_000
+
+
+def test_held_levels_may_pass_the_variable_count():
+    # Each assumption opens a level, including one that is already true,
+    # so levels pass `num_vars`. A posted clause is still filed under the
+    # level that satisfies it and put back when that level is undone: here
+    # -2 at level 6, when 4 forces 3 at level 7.
+    formula = CnfFormula(4)
+    formula.add_clause([-4, 3])
+    filed = []
+
+    class Checked(SatSolver):
+        def _cancel_until(self, target):
+            assert_store_invariant(self)
+            filed.extend(self.held_levels)
+            super()._cancel_until(target)
+
+    solver = Checked(formula)
+    assert solver.add_clause([-2, -3])
+    assert solver.solve(assumptions=[1] * 5 + [-2, 4]) is SolveStatus.SAT
+    assert solver.model == (True, False, True, True)
+    assert filed == [6] and not solver.held
+    assert_store_invariant(solver)
