@@ -88,8 +88,6 @@ def _oracle(net: PetriNet, predicate_pre, predicate_post,
     are still globally minimal.
     """
     n = len(net.places)
-    if n == 0:
-        return []
     if n > ORACLE_MAX_PLACES:
         raise ValueError(f"net has {n} places; brute force is capped at {ORACLE_MAX_PLACES}")
     pre = [0] * n

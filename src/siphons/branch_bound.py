@@ -221,6 +221,8 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     just before the `S` line of the first searched set with a lower least
     place, or after the search ends.
     """
+    if not net.places:  # no nonempty siphon, and no encoding
+        return EnumerationResult()
     formula, varmap = encode_siphon(net)
     prop = Propagator(formula)
     return enumerate_sets(net, prop,

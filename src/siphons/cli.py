@@ -164,8 +164,8 @@ def cmd_sweep(args) -> int:
             raise ValueError
     except ValueError:
         raise ValueError(f"bad alpha list {args.alpha!r}") from None
-    if not alphas or args.trials < 1:
-        raise ValueError("need at least one alpha and one trial")
+    if not alphas:
+        raise ValueError("need at least one alpha")
     n = args.vars
     budget = _budget(args)
     rows = []
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--vars", type=_int_at_least(3), default=50)
     sweep.add_argument("--alpha", default=SWEEP_ALPHAS,
                        help="comma-separated clause/variable ratios")
-    sweep.add_argument("--trials", type=int, default=5)
+    sweep.add_argument("--trials", type=_int_at_least(1), default=5)
     sweep.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_MS, metavar="MS")
     sweep.add_argument("--engine", choices=["sat", "bb"], default="sat")
     sweep.add_argument("--seed", type=int, default=0)

@@ -151,13 +151,16 @@ class SatSolver(Propagator):
         decisions, and every level of it is what a descent from the root
         would rebuild, so the answer is still the least model of the clause
         store. A solve under assumptions starts at the root and goes back to
-        it before it returns, and so does one that runs out of budget.
+        it before it returns, and so does one that runs out of budget. The
+        assumptions are checked by `check_clause`, so a repeated one opens no
+        level of its own, and x with -x is UNSAT with the store unchanged.
         """
         self.model = None
         if self.conflicting:
             return SolveStatus.UNSAT
-        assumptions = tuple(assumptions)
-        check_clause(assumptions, self.num_vars)
+        assumptions = check_clause(assumptions, self.num_vars)
+        if assumptions is None:
+            return SolveStatus.UNSAT
         if assumptions:
             self._cancel_until(0)
         clock = budget if isinstance(budget, BudgetClock) else BudgetClock(budget)
@@ -207,6 +210,8 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
     when it runs out, the result is returned as found so far, flagged timed
     out.
     """
+    if not net.places:  # no nonempty siphon, and no encoding
+        return EnumerationResult()
     formula, varmap = encode_siphon(net)
     solver = SatSolver(formula)
 

@@ -11,11 +11,11 @@ the SAT solver posts its learned clauses, unchecked, through the same
 Truth values, levels, reasons and watch lists are indexed by literal, as in
 MiniSat, so reading one takes no sign arithmetic. A clause posted after the
 formula's own, blocking or learned, leaves the watch list of a false watch
-when its other watch is true at a lower level, until that level is undone;
-one satisfied at the root leaves it for good, as MiniSat removes clauses
-satisfied at the root (Een and Sorensson, SAT 2003). On a net with many
-sets, most watch visits would otherwise go to blocking clauses satisfied
-that way.
+when its other watch is true at a lower level, filed under that true
+literal until it is undone; a root literal never is, so a clause satisfied
+at the root leaves for good, as MiniSat removes such clauses (Een and
+Sorensson, SAT 2003). On a net with many sets, most watch visits would
+otherwise go to blocking clauses satisfied that way.
 
 `enumerate_sets` is the one enumeration driver: each engine encodes the
 net, builds its store and hands the driver a generator that only searches.
@@ -25,8 +25,6 @@ fills in every stat. Also here: budgets, stats and results.
 """
 
 import time
-from bisect import insort
-from collections import defaultdict
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -158,16 +156,19 @@ class Propagator:
     watch lit, in the same layout.
     Clauses from `num_input` on are the ones posted after the formula's:
     blocking clauses and learned ones. When `_propagate` meets one whose
-    other watch is true at a level l below the current one, it takes the
-    clause off the false watch's list. At l > 0 it files the clause in
-    `held[l]`, with the true watch at position 0, and `_cancel_until` puts
-    it back under position 1 when it undoes l, which leaves both watches
-    unassigned; `held_levels` lists the levels filed under, ascending. At
-    l = 0 the clause leaves that list for good. Either way it stays listed
-    under its true watch, which stays true meanwhile. At the current level
-    the clause stays where it is: its false watch is then unassigned only
-    when l is undone, so leaving would save no visit. Input clauses stay
-    too: putting them back on every backtrack costs more than it saves.
+    other watch is true below the current level, it takes the clause off
+    the false watch's list, puts the true watch at position 0 and files
+    the clause under it in `held`, a dict keyed by literal: only literals
+    with clauses filed under them get an entry, so a new store allocates
+    no list per literal for it. `_cancel_until` puts the clause back under
+    position 1 when it unassigns the true watch, in the same pass that
+    unassigns the false one, assigned at a higher level. Meanwhile the
+    clause stays listed under its true watch, which stays true. A root
+    literal is never unassigned, so a clause filed under one has left for
+    good. A clause whose true watch is from the current level stays where
+    it is: its false watch is unassigned only when that level is undone,
+    so leaving would save no visit. Input clauses stay too: putting them
+    back on every backtrack costs more than it saves.
     Branching takes the lowest-index unassigned variable, found by a cursor
     below which every variable is assigned. `decisions` counts each level
     `_open_level` opens, for a `decide` or a SAT branch, and `propagations`
@@ -187,8 +188,7 @@ class Propagator:
         self.clauses: list[list[int]] = []   # positions 0 and 1 are watched
         self.spans: list[range] = []         # range(2, len(clause)) per clause
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        self.held: defaultdict[int, list[int]] = defaultdict(list)
-        self.held_levels: list[int] = []
+        self.held: dict[int, list[int]] = {}   # true literal -> clauses filed under it
         self.num_input = 0                   # set once the formula is in
         self._next_var = 1                   # every variable below it is assigned
         self.conflicting = False             # a root-level clause is falsified
@@ -232,26 +232,27 @@ class Propagator:
         self._enqueue(lit, None)
 
     def _cancel_until(self, target: int) -> None:
-        """Unassign every decision level above `target`, and put the clauses
-        held under those levels back on the watch list they left."""
+        """Unassign every decision level above `target`, in trail order, and
+        put the clauses held under each literal unassigned back on the watch
+        list they left."""
         if self.decision_level <= target:
             return
         head = self.trail_lim[target]
         assign = self.assign
+        held = self.held
+        watches = self.watches
+        clauses = self.clauses
         lowest = self._next_var
         for lit in self.trail[head:]:
             assign[lit] = 0
             assign[-lit] = 0
+            if lit in held:
+                for ci in held.pop(lit):
+                    watches[clauses[ci][1]].append(ci)
             v = lit if lit > 0 else -lit
             if v < lowest:
                 lowest = v
         self._next_var = lowest
-        levels = self.held_levels
-        while levels and levels[-1] > target:
-            watches = self.watches
-            clauses = self.clauses
-            for ci in self.held.pop(levels.pop()):
-                watches[clauses[ci][1]].append(ci)
         del self.trail[head:]
         del self.trail_lim[target:]
         self.decision_level = target
@@ -369,9 +370,9 @@ class Propagator:
         # conflict makes the clause a reason or a conflict, and that visit
         # puts the false watch at position 1 first. A posted clause whose
         # true watch is from a lower level leaves the list instead (see the
-        # class docstring): it is filed under that level, or dropped at
-        # level 0, and counts as moved. A conflict drops the `moved` entries
-        # behind `j` and keeps the unvisited tail.
+        # class docstring): it is filed under that watch and counts as
+        # moved. A conflict drops the `moved` entries behind `j` and keeps
+        # the unvisited tail.
         assign = self.assign
         clauses = self.clauses
         spans = self.spans
@@ -396,18 +397,12 @@ class Propagator:
                     first = clause[1]
                 a = assign[first]
                 if a == 1:
-                    if ci >= num_input:
-                        l = level[first]
-                        if l < depth:
-                            if l:
-                                clause[0] = first
-                                clause[1] = false_lit
-                                parked = held[l]
-                                if not parked:
-                                    insort(self.held_levels, l)
-                                parked.append(ci)
-                            moved += 1
-                            continue
+                    if ci >= num_input and level[first] < depth:
+                        clause[0] = first
+                        clause[1] = false_lit
+                        held.setdefault(first, []).append(ci)
+                        moved += 1
+                        continue
                     watchers[j] = ci
                     j += 1
                     continue

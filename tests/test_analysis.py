@@ -3,9 +3,10 @@ import random
 import pytest
 
 from siphons import (Budget, PetriNet, brute_force_minimal_siphons, brute_force_minimal_traps,
-                     canonical_order, enumerate_minimal_siphons, enumerate_minimal_traps,
-                     filter_containing, gen_3sat_reduction, gen_chain, gen_random_3sat,
-                     gen_random_net, max_trap_within, siphon_trap_report)
+                     canonical_order, enumerate_minimal_bb, enumerate_minimal_sat,
+                     enumerate_minimal_siphons, enumerate_minimal_traps, filter_containing,
+                     gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net,
+                     max_trap_within, siphon_trap_report)
 
 from conftest import example2_net, potato_net, random_net_corpus
 
@@ -121,6 +122,18 @@ def test_report_vacuous_when_no_siphons():
     net = PetriNet.from_transitions([("t", [], ["A"])], places=["A"])
     report = siphon_trap_report(net, net.marking({}))
     assert report.rows == [] and report.all_marked
+
+
+def test_engines_answer_a_net_without_places():
+    # No nonempty siphon, so an empty, complete result and no trace line,
+    # though the net has no encoding; a transition with neither inputs nor
+    # outputs changes nothing.
+    lines = []
+    for net in (PetriNet.from_transitions([]), PetriNet.from_transitions([("t", [], [])])):
+        for result in (enumerate_minimal_sat(net), enumerate_minimal_bb(net, trace=lines.append),
+                       enumerate_minimal_traps(net, engine="bb")):
+            assert result.sets == [] and result.complete
+    assert lines == []
 
 
 def test_report_serialization(enzyme):

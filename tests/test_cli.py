@@ -301,9 +301,28 @@ def test_stats_without_model_files_is_a_usage_error(tmp_path):
     assert (code, out) == (1, "") and err == f"error: no model files in {tmp_path}\n"
 
 
+def test_a_net_without_places_has_no_sets(tmp_path):
+    # It has no nonempty siphon or trap: every engine reports none, complete,
+    # and `stats` counts it as a model with no sets.
+    model = tmp_path / "empty.rxn"
+    model.write_text("")
+    for engine in ("sat", "bb", "oracle"):
+        code, out, err = run(["analyze", str(model), "--target", "both", "--output", "json",
+                              "--engine", engine])
+        doc = json.loads(out)
+        assert (code, err, doc["places"]) == (0, "", 0)
+        for target in ("siphons", "traps"):
+            assert doc[target]["sets"] == [] and doc[target]["timed_out"] is False
+    code, out, err = run(["stats", str(tmp_path), "--output", "json"])
+    summary = json.loads(out)["summary"]
+    assert (code, err) == (0, "")
+    assert (summary["models"], summary["count_max"], summary["unparseable"]) == (1, 0, [])
+
+
 def test_sweep_refuses_zero_trials():
     code, out, err = run(["sweep", "--vars", "4", "--alpha", "1", "--trials", "0"])
-    assert (code, out) == (1, "") and err == "error: need at least one alpha and one trial\n"
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "siphons sweep: error: argument --trials: must be an int >= 1"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -316,8 +335,9 @@ def test_sweep_refuses_zero_trials():
      "--degree"),
     (["gen", "random-net", "--places", "3", "--transitions", "2", "OUT"], "--places"),
     (["sweep", "--vars", "2", "--alpha", "1", "--trials", "1", "--out", "OUT"], "--vars"),
+    (["sweep", "--vars", "3", "--alpha", "1", "--trials", "0", "--out", "OUT"], "--trials"),
 ], ids=["n", "vars", "clauses", "places", "transitions", "degree", "degree-above-places",
-        "sweep-vars"])
+        "sweep-vars", "sweep-trials"])
 def test_count_errors_name_the_flag(tmp_path, argv, flag):
     # A count below its bound is a usage error that names the flag, not the
     # generator's parameter, and nothing is written.

@@ -5,15 +5,15 @@ and a checker of the store it keeps.
 Sorensson, SAT 2003): a `while` over the watch list that swaps the false
 watch to position 1 on every visit, the kept ones included, and takes a
 posted clause whose other watch is true at a lower level off the list,
-filed under that level. The kernel in `search.py` must leave the same
+filed under that true watch. The kernel in `search.py` must leave the same
 trail, levels, reasons, conflicts, counters, watch lists and held clauses
 after every step; only the order of a clause's two watched literals may
-differ. `assert_store_invariant` checks where each stored clause is listed.
+differ. `assert_store_invariant` checks where each stored clause is listed
+or filed.
 """
 
 import itertools
 import random
-from bisect import insort
 from collections import Counter
 
 import pytest
@@ -55,12 +55,9 @@ def reference_propagate(self):
             a = assign[first]
             if a == 1:
                 if ci >= self.num_input and level[first] < depth:
-                    # A posted clause leaves this list: filed under its true
-                    # watch's level, now at position 0, or dropped at the root.
-                    if level[first] > 0:
-                        if level[first] not in self.held:
-                            insort(self.held_levels, level[first])
-                        self.held[level[first]].append(ci)
+                    # A posted clause leaves this list, filed under its true
+                    # watch, which is at position 0.
+                    self.held.setdefault(first, []).append(ci)
                     continue
                 watchers[j] = ci
                 j += 1
@@ -93,30 +90,27 @@ def reference_propagate(self):
 
 def assert_store_invariant(prop):
     """Every stored clause of two or more literals is listed once under each
-    of its two watched literals; or is filed under level l, listed under
-    its other watch alone, which is true at l; or is dropped, listed under
-    its other watch alone, which is true at the root. Only a clause posted
-    after the formula's own is filed. Nothing else is listed or filed."""
+    of its two watched literals, or is filed under its watch at position 0,
+    which is true, and listed under that watch alone. Only a clause posted
+    after the formula's own is filed, and nothing is filed under a literal
+    that is not true. Nothing else is listed or filed."""
     n = prop.num_vars
     listed = Counter((lit, ci) for lit in range(-n, n + 1) for ci in prop.watches[lit])
     filed = {}
-    for l, held in prop.held.items():
-        assert held and 0 < l <= prop.decision_level
+    for lit, held in prop.held.items():
+        assert held and prop.assign[lit] == 1, f"clauses are filed under {lit}, not true"
         for ci in held:
             assert ci not in filed and ci >= prop.num_input
-            filed[ci] = l
-    assert prop.held_levels == sorted(prop.held)
+            filed[ci] = lit
     for ci, clause in enumerate(prop.clauses):
         assert len(clause) >= 2
         under = [w for w in clause[:2] if listed.pop((w, ci), 0) == 1]
-        if len(under) == 2:
-            assert ci not in filed
-            continue
-        assert len(under) == 1, f"clause {ci} is listed under neither watch"
-        (watch,) = under
-        assert prop.assign[watch] == 1, f"clause {ci} left the list of a watch that is not true"
-        assert prop.level[watch] == filed.pop(ci, 0)
-    assert not listed and not filed
+        if ci in filed:
+            assert clause[0] == filed.pop(ci), f"clause {ci} is filed under its false watch"
+            assert under == [clause[0]], f"clause {ci} is filed, not listed under its true watch"
+        else:
+            assert len(under) == 2, f"clause {ci} is neither filed nor listed under both watches"
+    assert not listed
 
 
 def random_formula(rng):
@@ -148,7 +142,7 @@ def assert_same_state(real, ref, returned):
     assert [real.reason[q] for q in real.trail] == [ref.reason[q] for q in ref.trail]
     assert real.propagations == ref.propagations
     assert real.watches == ref.watches
-    assert real.held == ref.held and real.held_levels == ref.held_levels
+    assert real.held == ref.held
     for a, b in zip(real.clauses, ref.clauses, strict=True):
         assert sorted(a[:2]) == sorted(b[:2]) and a[2:] == b[2:]
 
@@ -263,11 +257,11 @@ def test_the_store_invariant_holds_at_every_set(monkeypatch):
     assert len(held_at_sets) > 1000 and sum(held_at_sets) > 10_000
 
 
-def test_held_levels_may_pass_the_variable_count():
-    # Each assumption opens a level, including one that is already true,
-    # so levels pass `num_vars`. A posted clause is still filed under the
-    # level that satisfies it and put back when that level is undone: here
-    # -2 at level 6, when 4 forces 3 at level 7.
+def test_a_clause_filed_under_an_assumption_is_put_back_at_the_root():
+    # Each distinct assumption opens a level, and a repeated one opens none:
+    # 1, -2 and 4 take levels 1-3. A posted clause is filed under the
+    # assumption that satisfies it, -2, when 4 forces 3 at level 3, and is
+    # put back when the solve returns to the root.
     formula = CnfFormula(4)
     formula.add_clause([-4, 3])
     filed = []
@@ -275,12 +269,13 @@ def test_held_levels_may_pass_the_variable_count():
     class Checked(SatSolver):
         def _cancel_until(self, target):
             assert_store_invariant(self)
-            filed.extend(self.held_levels)
+            filed.append((self.decision_level, list(self.held)))
             super()._cancel_until(target)
 
     solver = Checked(formula)
     assert solver.add_clause([-2, -3])
     assert solver.solve(assumptions=[1] * 5 + [-2, 4]) is SolveStatus.SAT
     assert solver.model == (True, False, True, True)
-    assert filed == [6] and not solver.held
+    assert filed == [(0, []), (3, [-2])] and not solver.held
+    assert solver.watches[-3] == [1]
     assert_store_invariant(solver)

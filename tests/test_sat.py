@@ -95,6 +95,11 @@ def test_assumptions():
     assert s.solve(assumptions=[-1, -2]) == SolveStatus.UNSAT
     # solver stays usable after an assumption mismatch
     assert s.solve() == SolveStatus.SAT
+    # x with -x is UNSAT before the trail moves or a conflict counts
+    before = list(s.trail), s.decisions, s.conflicts
+    assert s.solve(assumptions=[2, 1, -2]) == SolveStatus.UNSAT
+    assert s.model is None and (list(s.trail), s.decisions, s.conflicts) == before
+    assert s.solve(assumptions=[2, 2, -1]) == SolveStatus.SAT and s.model == (False, True)
 
 
 def test_incremental_clause_addition():
