@@ -39,7 +39,8 @@ def enumerate_minimal_siphons(net: PetriNet, engine: str = "sat",
     if engine == "oracle":
         clock = BudgetClock(budget)
         sets = _oracle(net, net.pre_transitions, net.post_transitions, clock)
-        stats = SearchStats(solve_calls=1, elapsed_ms=clock.elapsed_ms, timed_out=clock.timed_out)
+        stats = SearchStats(solve_calls=1 if net.places else 0,  # one scan, if any place
+                            elapsed_ms=clock.elapsed_ms, timed_out=clock.timed_out)
         return EnumerationResult(sets=sets, stats=stats)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
@@ -207,11 +208,15 @@ def siphon_trap_report(net: PetriNet, marking, engine: str = "sat",
     if siphons is None:
         siphons = enumerate_minimal_siphons(net, engine=engine, budget=budget)
     report = SiphonTrapReport(timed_out=siphons.stats.timed_out)
-    for siphon in canonical_order(net, siphons.sets):
+    # `canonical_order`, with each siphon named once: a set and its names
+    # have the same size, and distinct sets have distinct names
+    named = sorted(zip(map(net.set_names, siphons.sets), siphons.sets),
+                   key=lambda row: (len(row[0]), row[0]))
+    for names, siphon in named:
         trap = max_trap_within(net, siphon)
         marked = any(marking[p] > 0 for p in trap)
         report.rows.append(SiphonReportRow(
-            siphon=net.set_names(siphon),
+            siphon=names,
             proper=net.is_proper_siphon(siphon),
             trap=net.set_names(trap),
             trap_marked=marked,

@@ -3,9 +3,10 @@
 Depth-first search with unit propagation on the shared `Propagator`; every
 decision takes the lowest-index unassigned variable and tries 0 before 1,
 which makes the leftmost solution inclusion-minimal and guarantees that no
-later solution is a subset of an earlier one. On each solution a permanent
-non-superset clause is posted on the live trail, as the SAT engine does:
-the model falsifies it, so `Propagator.add_clause` backjumps to the
+later solution is a subset of an earlier one. On each solution the driver
+reads the set and its permanent non-superset clause off the trail in one
+pass and posts the clause unchecked on the live trail, as for the SAT
+engine: the model falsifies it, so `Propagator._post` backjumps to the
 clause's assertion level and asserts its top literal there. The levels
 below are kept as they are; the path decisions above that level are
 re-decided while their variables are still free, and the search goes on.
@@ -29,7 +30,8 @@ met at the root. `analysis.first_solution_is_minimal_check` cross-checks the
 first solution against the brute-force oracle.
 """
 
-from .encoding import blocking_clause, encode_siphon
+from .encoding import encode_siphon
+from .encoding import blocking_clause  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .net import PetriNet
 from .search import Budget, BudgetClock, EnumerationResult, Propagator, enumerate_sets
 
@@ -103,9 +105,9 @@ class _Dependencies:
             self.valid = upto
 
 
-def _search(prop: Propagator, varmap, clock: BudgetClock, emit):
-    """Yield the place set of each solution of the 0-first search, in order,
-    with its non-superset clause already posted.
+def _search(prop: Propagator, clock: BudgetClock, emit):
+    """Yield at each solution of the 0-first search, in order; the driver
+    posts its non-superset clause before the search resumes.
 
     A conflict backjumps to the deepest decision it depends on (see the
     module docstring). After a solution the search resumes at the clause's
@@ -180,9 +182,7 @@ def _search(prop: Propagator, varmap, clock: BudgetClock, emit):
                 break
             consistent = decide(var, True, failure)
         elif prop.all_assigned():
-            found = frozenset(varmap.place(v) for v in prop.true_vars())
-            prop.add_clause(blocking_clause(found, varmap))
-            yield found
+            yield
             if prop.conflicting:
                 return  # a root conflict ends the enumeration
             # The clause sent the search back to its assertion level and
@@ -223,8 +223,7 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     """
     if not net.places:  # no nonempty siphon, and no encoding
         return EnumerationResult()
-    formula, varmap = encode_siphon(net)
+    formula, _ = encode_siphon(net)
     prop = Propagator(formula)
-    return enumerate_sets(net, prop,
-                          lambda clock: _search(prop, varmap, clock, trace),
+    return enumerate_sets(net, prop, lambda clock: _search(prop, clock, trace),
                           budget, trace)

@@ -10,10 +10,10 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import math
 import statistics
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import (ENGINES, enumerate_minimal_siphons, enumerate_minimal_traps,
@@ -51,6 +51,49 @@ def _load_model(path: Path, fmt: str | None) -> tuple[PetriNet, tuple[int, ...],
     parse = parse_reactions if fmt == "rxn" else parse_pnml
     net, marking = parse(text)
     return net, marking, fmt
+
+
+_STR = frozenset({str})  # the one element type of a list `_json` joins in C
+
+
+def _json(value, newline: str = "\n") -> str:
+    """The text `json.dumps(value, indent=2)` gives, for dicts with str keys,
+    lists, tuples, str, int, float, bool and None. `newline` is the line
+    break and indent that the value's own lines start with; a list of str
+    alone is joined in one call, as the names of a set are."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _STR.issuperset(map(type, value)):
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def _spread(name: str, values: list[int]) -> dict:
@@ -114,7 +157,7 @@ def cmd_analyze(args) -> int:
         payload["marking_report"] = report.to_dict()
 
     if args.output == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     elif args.output == "csv":
         writer = csv.DictWriter(sys.stdout, ANALYZE_COLUMNS, extrasaction="ignore")
         writer.writeheader()
@@ -237,7 +280,7 @@ def cmd_stats(args) -> int:
         "unparseable": [name for name, _ in failures],
     }
     if args.output == "json":
-        print(json.dumps({"models": entries, "summary": summary}, indent=2))
+        print(_json({"models": entries, "summary": summary}))
     elif args.output == "csv":
         writer = csv.writer(sys.stdout)
         header = [k for k in summary if k != "unparseable"]
@@ -252,9 +295,10 @@ def cmd_stats(args) -> int:
         for name, reason in failures:
             print(f"{name}: unparseable ({reason})")
         partial = " (partial: timeouts)" if summary["timeouts"] else ""
-        print(f"corpus: {summary['models']} models, counts {summary['count_min']}–"
-              f"{summary['count_max']} (avg {summary['count_avg']}), sizes "
-              f"{summary['size_min']}–{summary['size_max']} (avg {summary['size_avg']}), "
+        figures = {k: "-" if v is None else v for k, v in summary.items()}  # as per model
+        print(f"corpus: {summary['models']} models, counts {figures['count_min']}–"
+              f"{figures['count_max']} (avg {figures['count_avg']}), sizes "
+              f"{figures['size_min']}–{figures['size_max']} (avg {figures['size_avg']}), "
               f"total {summary['total_ms']} ms{partial}")
     return 0
 

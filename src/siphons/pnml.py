@@ -15,13 +15,18 @@ PNML_NS = "http://www.pnml.org/version-2009/grammar/pnml"
 NET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
 
 
-def _local(tag: str) -> str:
-    return tag.rpartition("}")[2]
+class _LocalNames(dict):
+    """Tag -> its local name, without the namespace, filled in as tags are
+    met; one parse keeps one, as a document repeats a few tags."""
+
+    def __missing__(self, tag: str) -> str:
+        name = self[tag] = tag.rpartition("}")[2]
+        return name
 
 
-def _int_text(elem, what: str, default: int) -> int:
+def _int_text(elem, what: str, default: int, local: _LocalNames) -> int:
     for child in elem:
-        if _local(child.tag) == "text":
+        if local[child.tag] == "text":
             raw = (child.text or "").strip()
             try:
                 value = int(raw)
@@ -44,8 +49,9 @@ def parse_pnml(text: str | bytes) -> tuple[PetriNet, Marking]:
     transition_ids: list[str] = []
     marks: dict[str, int] = {}
     arcs: list[tuple[str, str, int]] = []
+    local = _LocalNames()
     for elem in root.iter():
-        kind = _local(elem.tag)
+        kind = local[elem.tag]
         if kind in ("place", "transition"):
             ident = elem.get("id")
             if ident is None:
@@ -53,8 +59,9 @@ def parse_pnml(text: str | bytes) -> tuple[PetriNet, Marking]:
             if kind == "place":
                 place_ids.append(ident)
                 for child in elem:
-                    if _local(child.tag) == "initialMarking":
-                        marks[ident] = _int_text(child, f"initial marking of {ident!r}", 0)
+                    if local[child.tag] == "initialMarking":
+                        marks[ident] = _int_text(child, f"initial marking of {ident!r}", 0,
+                                                 local)
             else:
                 transition_ids.append(ident)
         elif kind == "arc":
@@ -63,8 +70,9 @@ def parse_pnml(text: str | bytes) -> tuple[PetriNet, Marking]:
                 raise ParseError("arc without source/target")
             weight = 1
             for child in elem:
-                if _local(child.tag) == "inscription":
-                    weight = _int_text(child, f"inscription of arc {source}->{target}", 1)
+                if local[child.tag] == "inscription":
+                    weight = _int_text(child, f"inscription of arc {source}->{target}", 1,
+                                       local)
             arcs.append((source, target, weight))
 
     if len(set(place_ids)) != len(place_ids) or len(set(transition_ids)) != len(transition_ids):

@@ -29,10 +29,11 @@ model shares, so the least model would be 1 there too. The least model is
 inclusion-minimal among the models left; blocking clauses remove only
 supersets of sets already found, so every model is a new minimal siphon.
 The driver posts the one-place minimal siphons as units before the first
-solve and merges them into the output without search. The model falsifies
-its blocking clause, so `Propagator.add_clause` checks it and posts it
-like a learned one, by decreasing level: the search backjumps to the
-clause's assertion level and the next solve resumes there rather than
+solve and merges them into the output without search. It reads each
+model's set and blocking clause off the trail in one pass and posts the
+clause unchecked, like a learned one: the model falsifies it, so it is
+stored by decreasing level, the search backjumps to the clause's
+assertion level and the next solve resumes there rather than
 re-descending from the root, as all-solutions CDCL solvers do (Toda and
 Soh, ACM JEA 2016).
 Branch-and-bound resumes through the same call. The levels kept are the
@@ -42,7 +43,8 @@ below them, so the models and their order do not change.
 
 from enum import Enum
 
-from .encoding import Assignment, CnfFormula, blocking_clause, check_clause, encode_siphon
+from .encoding import Assignment, CnfFormula, check_clause, encode_siphon
+from .encoding import blocking_clause  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .net import PetriNet
 from .search import Budget, BudgetClock, EnumerationResult, Propagator, enumerate_sets
 
@@ -194,7 +196,7 @@ class SatSolver(Propagator):
                     break
             else:  # every assumption holds: branch, or stop at a full model
                 if self.all_assigned():
-                    self.model = tuple(self.assign[v] == 1 for v in range(1, self.num_vars + 1))
+                    self.model = tuple([a == 1 for a in self.assign[1:self.num_vars + 1]])
                     if n_assumptions:
                         self._cancel_until(0)
                     return SolveStatus.SAT
@@ -212,15 +214,13 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
     """
     if not net.places:  # no nonempty siphon, and no encoding
         return EnumerationResult()
-    formula, varmap = encode_siphon(net)
+    formula, _ = encode_siphon(net)
     solver = SatSolver(formula)
 
     def search(clock: BudgetClock):
-        # Solve, block the model's place set and its supersets, yield the
-        # set, and repeat until UNSAT or the budget runs out.
+        # Solve and yield, and repeat until UNSAT or the budget runs out;
+        # the driver blocks each model before the next solve.
         while solver.solve(budget=clock) is SolveStatus.SAT:
-            found = varmap.true_places(solver.model)
-            solver.add_clause(blocking_clause(found, varmap))
-            yield found
+            yield
 
     return enumerate_sets(net, solver, search, budget)

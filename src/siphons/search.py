@@ -4,10 +4,12 @@
 loop, with the decision level and reason of every assignment:
 branch-and-bound drives it through `decide`/`backtrack` and reads the
 falsified clause for backjumping, and the SAT solver subclasses it with
-conflict learning. Both post each blocking clause through `add_clause`,
-which checks it and resumes the search at the clause's assertion level;
-the SAT solver posts its learned clauses, unchecked, through the same
-`_post`. Every other clause enters by the one root intake, `_add_root`.
+conflict learning. A caller's clause goes in through `add_clause`, which
+checks it. A blocking clause is read off the trail with the set it blocks
+(`_block_model`) and posted unchecked through `_post`, as the SAT solver
+posts its learned clauses; `_post` resumes the search at the clause's
+assertion level. Every other clause enters by the one root intake,
+`_add_root`.
 Truth values, levels, reasons and watch lists are indexed by literal, as in
 MiniSat, so reading one takes no sign arithmetic. A clause posted after the
 formula's own, blocking or learned, leaves the watch list of a false watch
@@ -20,8 +22,9 @@ otherwise go to blocking clauses satisfied that way.
 `enumerate_sets` is the one enumeration driver: each engine encodes the
 net, builds its store and hands the driver a generator that only searches.
 The driver owns the run's `BudgetClock`, settles the one-place minimal
-siphons, certifies every set with `accept`, cuts the run between sets and
-fills in every stat. Also here: budgets, stats and results.
+siphons, blocks each set the search finds, certifies it with `accept`, cuts
+the run between sets and fills in every stat. Also here: budgets, stats
+and results.
 """
 
 import time
@@ -213,9 +216,6 @@ class Propagator:
     def all_assigned(self) -> bool:
         return len(self.trail) == self.num_vars
 
-    def true_vars(self) -> list[int]:
-        return [v for v in range(1, self.num_vars + 1) if self.assign[v] > 0]
-
     def _enqueue(self, lit: int, reason: int | None) -> None:
         """Assign lit true at the current level, forced by clause `reason`."""
         self.assign[lit] = 1
@@ -280,7 +280,7 @@ class Propagator:
         The literals are checked by `check_clause` before the store changes:
         a bad one raises ValueError, and a tautology changes nothing. The
         clause then goes in through `_post`, as the SAT solver's learned
-        clauses do.
+        clauses and the blocking clauses of `_block_model` do.
         """
         clause = check_clause(literals, self.num_vars)
         if clause is None:
@@ -319,6 +319,19 @@ class Propagator:
                     return True
             self._cancel_until(0)
         return self._add_root((clause,))
+
+    def _block_model(self) -> PlaceSet:
+        """Post the non-superset clause of the full model on the trail and
+        return the model's place set (place k-1 is variable k).
+
+        One pass over the trail gives both, from its true variables in
+        ascending order: the clause is `blocking_clause` of the set, in the
+        same literal order, which `_post` sorts stably by level. It is
+        built in range and duplicate-free, so it goes in unchecked.
+        """
+        true = sorted([q for q in self.trail if q > 0])
+        self._post([-v for v in true])
+        return frozenset([v - 1 for v in true])
 
     def _add_root(self, clauses) -> bool:
         """Take duplicate-free clauses in range in at the root, no decision
@@ -466,14 +479,16 @@ def enumerate_sets(net: PetriNet, store: Propagator, search,
     in, each certified by `accept` and passed to `emit`, if given, as an
     `S {places}` line.
 
-    `search(clock)` is a generator that only searches: it yields the
-    engine's sets in order, each with its blocking clause already posted,
-    counts its conflicts on `clock` and stops when `clock.exhausted()` after
-    a conflict that does not end the search. The driver counts a solve call
-    for the first descent and one for each resume after a set. It asks the
-    clock after each set, unless the store is UNSAT at the root, where the
-    resumed engine ends the run complete. It fills in every stat, the
-    `elapsed_ms` covering the last set.
+    `search(clock)` is a generator that only searches: it yields each time
+    a full model of the store stands on its trail, counts its conflicts on
+    `clock` and stops when `clock.exhausted()` after a conflict that does
+    not end the search. The driver reads the model's set off the trail and
+    posts its blocking clause (`Propagator._block_model`) before it resumes
+    the search. It counts a solve call for the first descent and one for
+    each resume after a set. It asks the clock after each set, unless the
+    store is UNSAT at the root, where the resumed engine ends the run
+    complete. It fills in every stat, the `elapsed_ms` covering the last
+    set.
 
     A place p whose producers all consume p, or that has none, is the
     minimal siphon {p}, and no other minimal siphon contains p: these are
@@ -504,7 +519,8 @@ def enumerate_sets(net: PetriNet, store: Propagator, search,
     i = 0
     if not clock.exhausted():
         stats.solve_calls = 1
-        for s in search(clock):
+        for _ in search(clock):
+            s = store._block_model()
             least = min(s)
             while i < len(places) and places[i] > least:
                 take(frozenset((places[i],)))

@@ -5,10 +5,11 @@ import json
 import contextlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from siphons import (enumerate_minimal_siphons, export_pnml, export_reactions, parse_pnml,
                      parse_reactions, siphon_trap_report)
-from siphons.cli import build_parser, main
+from siphons.cli import _json, build_parser, main
 
 
 def run(argv):
@@ -303,20 +304,30 @@ def test_stats_without_model_files_is_a_usage_error(tmp_path):
 
 def test_a_net_without_places_has_no_sets(tmp_path):
     # It has no nonempty siphon or trap: every engine reports none, complete,
-    # and `stats` counts it as a model with no sets.
+    # with no solve call, as there is nothing to search or scan, and `stats`
+    # counts it as a model with no sets and no size.
     model = tmp_path / "empty.rxn"
     model.write_text("")
+    blocks = []
     for engine in ("sat", "bb", "oracle"):
         code, out, err = run(["analyze", str(model), "--target", "both", "--output", "json",
                               "--engine", engine])
         doc = json.loads(out)
         assert (code, err, doc["places"]) == (0, "", 0)
         for target in ("siphons", "traps"):
-            assert doc[target]["sets"] == [] and doc[target]["timed_out"] is False
+            del doc[target]["elapsed_ms"]
+            blocks.append(doc[target])
+    assert blocks == [{"count": 0, "sets": [], "size_min": None, "size_max": None,
+                       "size_avg": None, "timed_out": False, "solve_calls": 0,
+                       "conflicts": 0, "decisions": 0}] * 6
     code, out, err = run(["stats", str(tmp_path), "--output", "json"])
     summary = json.loads(out)["summary"]
     assert (code, err) == (0, "")
     assert (summary["models"], summary["count_max"], summary["unparseable"]) == (1, 0, [])
+    code, out, err = run(["stats", str(tmp_path)])
+    assert (code, err) == (0, "") and "None" not in out
+    assert out.startswith("empty.rxn: 0 siphons, sizes -–-, ")
+    assert "counts 0–0 (avg 0.0), sizes -–- (avg -), total " in out.splitlines()[1]
 
 
 def test_sweep_refuses_zero_trials():
@@ -384,3 +395,31 @@ def test_csv_headers_are_pinned(models_dir):
     for argv, header in headers.items():
         code, out, _ = run(list(argv))
         assert code == 0 and out.splitlines()[0] == header
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text,
+# and floats with NaN, the infinities and -0.0.
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.floats() | st.sampled_from([float("nan"), float("-inf"), -0.0])
+                | st.text() | st.sampled_from(['"', "\\", "\x00\n\t\x1f\x7f", "é\u2028\U0001f600"]))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(st.text(), max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("engine", ["sat", "bb"])
+def test_json_output_is_that_of_json_dumps(models_dir, engine):
+    # The report's bytes, every model's: a reader may diff them or hash them.
+    for model in sorted(models_dir.iterdir()):
+        code, out, _ = run(["analyze", str(model), "--target", "both", "--marking-report",
+                            "--output", "json", "--engine", engine])
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    code, out, _ = run(["stats", str(models_dir), "--output", "json", "--engine", engine])
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"

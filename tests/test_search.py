@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from siphons import (EnumerationResult, PetriNet, brute_force_minimal_siphons,
-                     enumerate_minimal_bb, enumerate_minimal_sat, enumerate_minimal_siphons,
-                     enumerate_minimal_traps, first_solution_is_minimal_check,
-                     gen_3sat_reduction, gen_chain, gen_random_3sat)
+from siphons import (EnumerationResult, PetriNet, Propagator, blocking_clause,
+                     brute_force_minimal_siphons, encode_siphon, enumerate_minimal_bb,
+                     enumerate_minimal_sat, enumerate_minimal_siphons, enumerate_minimal_traps,
+                     first_solution_is_minimal_check, gen_3sat_reduction, gen_chain,
+                     gen_random_3sat)
 from siphons.reactions import export_reactions, parse_reactions
 from siphons import search
 from siphons.search import Budget, BudgetClock, accept
@@ -264,6 +265,40 @@ def test_bb_trace_is_pinned(make, siphons_md5, traps_md5):
         lines = []
         enumerate_(net, engine="bb", trace=lines.append)
         assert hashlib.md5("\n".join(lines).encode()).hexdigest()[:12] == expected
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_minimal_sat, enumerate_minimal_bb])
+def test_each_posted_blocking_clause_is_blocking_clause(monkeypatch, enumerate_):
+    # The engines read a set and its clause off the trail in one pass and
+    # post the clause unchecked; it must be the public `blocking_clause` of
+    # the set, literal order included, as `_post` sorts it stably by level.
+    block, post = Propagator._block_model, Propagator._post
+    inside = []  # the clauses `_post` takes within the current `_block_model`
+    pairs = []
+
+    def block_model(store):
+        inside.append([])
+        found = block(store)
+        (clause,) = inside.pop()
+        pairs.append((found, clause))
+        return found
+
+    def post_clause(store, clause):
+        if inside:
+            inside[-1].append(tuple(clause))
+        return post(store, clause)
+
+    monkeypatch.setattr(Propagator, "_block_model", block_model)
+    monkeypatch.setattr(Propagator, "_post", post_clause)
+    for net in random_net_corpus(40, base_seed=7) + [gen_chain(8), red8_rxn()]:
+        for target in (net, net.dual()):
+            pairs.clear()
+            res = enumerate_(target)
+            _, varmap = encode_siphon(target)
+            # every one-place minimal siphon is settled without search
+            assert [found for found, _ in pairs] == [s for s in res.sets if len(s) > 1]
+            for found, clause in pairs:
+                assert clause == blocking_clause(found, varmap)
 
 
 def behaviour_digest() -> tuple[int, int, str]:
