@@ -16,7 +16,8 @@ from .branch_bound import enumerate_minimal_bb
 from .dynamics import (check_siphon_emptiness, check_trap_persistence, random_walk,
                        unmarked_places, walk_trace)
 from .encoding import (Assignment, Clause, CnfFormula, VarMap, blocking_clause,
-                       encode_siphon, evaluate, export_dimacs, parse_dimacs)
+                       branching_order, encode_branching, encode_siphon, evaluate,
+                       export_dimacs, parse_dimacs)
 from .generators import (ThreeSatInstance, gen_3sat_reduction, gen_chain,
                          gen_random_3sat, gen_random_net)
 from .net import (Marking, NotEnabledError, PetriNet, PlaceSet, format_place_set,
@@ -32,9 +33,10 @@ __all__ = [
     "Assignment", "Budget", "Clause", "CnfFormula", "EnumerationResult", "Marking",
     "NotEnabledError", "ParseError", "PetriNet", "PlaceSet", "Propagator", "SatSolver",
     "SearchStats", "SiphonReportRow", "SiphonTrapReport", "SolveStatus",
-    "ThreeSatInstance", "VarMap", "blocking_clause", "brute_force_minimal_siphons",
+    "ThreeSatInstance", "VarMap", "blocking_clause", "branching_order",
+    "brute_force_minimal_siphons",
     "brute_force_minimal_traps", "canonical_order", "check_siphon_emptiness",
-    "check_trap_persistence", "encode_siphon", "enumerate_minimal_bb",
+    "check_trap_persistence", "encode_branching", "encode_siphon", "enumerate_minimal_bb",
     "enumerate_minimal_sat", "enumerate_minimal_siphons", "enumerate_minimal_traps",
     "evaluate", "export_dimacs", "export_pnml", "export_reactions", "filter_containing",
     "first_solution_is_minimal_check", "format_place_set", "gen_3sat_reduction",

@@ -3,7 +3,7 @@ net, containment filtering, maximal-trap extraction, marking reports, and
 small brute-force oracles used to cross-check the engines, among them the
 check that bb's first set is one of the oracle's minimal siphons."""
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .branch_bound import enumerate_minimal_bb
@@ -25,10 +25,11 @@ def enumerate_minimal_siphons(net: PetriNet, engine: str = "sat",
     """All minimal siphons, through the chosen engine.
 
     The sat and bb engines return the same list: the sets in increasing
-    lexicographic order of their characteristic vectors, with place 0 (CNF
-    variable 1) most significant and absent before present, so in
-    decreasing order of their least place. A run cut by its budget returns a
-    prefix of that list. The oracle returns `canonical_order`.
+    lexicographic order of their characteristic vectors under the branching
+    order (`encoding.branching_order`), with its first place (CNF variable
+    1) most significant and absent before present, so in decreasing order
+    of their least position in it. A run cut by its budget returns a prefix
+    of that list. The oracle returns `canonical_order`.
     """
     if trace is not None and engine != "bb":
         raise ValueError("search traces are only produced by the bb engine")
@@ -196,27 +197,32 @@ class SiphonTrapReport:
 
 def siphon_trap_report(net: PetriNet, marking, engine: str = "sat",
                        budget: Budget | None = None,
-                       siphons: EnumerationResult | None = None) -> SiphonTrapReport:
+                       siphons: EnumerationResult | None = None,
+                       names: Sequence[tuple[str, ...]] | None = None) -> SiphonTrapReport:
     """For each minimal siphon: its maximal inner trap and whether that trap
     is marked under the given marking.
 
     `siphons` is an already-computed siphon enumeration of `net`, all of
     its sets; without it the siphons are enumerated here with `engine`
-    and `budget`.
+    and `budget`. `names`, if given, holds `net.set_names` of each set of
+    `siphons`, in the same order, so a caller that has named them already
+    does not name them again.
     """
     net._check_marking(marking)
+    if names is not None and (siphons is None or len(names) != len(siphons.sets)):
+        raise ValueError("names must name each set of the given siphons")
     if siphons is None:
         siphons = enumerate_minimal_siphons(net, engine=engine, budget=budget)
     report = SiphonTrapReport(timed_out=siphons.stats.timed_out)
-    # `canonical_order`, with each siphon named once: a set and its names
-    # have the same size, and distinct sets have distinct names
-    named = sorted(zip(map(net.set_names, siphons.sets), siphons.sets),
+    # `canonical_order`: a set and its names have the same size, and
+    # distinct sets have distinct names
+    named = sorted(zip(names or map(net.set_names, siphons.sets), siphons.sets),
                    key=lambda row: (len(row[0]), row[0]))
-    for names, siphon in named:
+    for siphon_names, siphon in named:
         trap = max_trap_within(net, siphon)
         marked = any(marking[p] > 0 for p in trap)
         report.rows.append(SiphonReportRow(
-            siphon=names,
+            siphon=siphon_names,
             proper=net.is_proper_siphon(siphon),
             trap=net.set_names(trap),
             trap_marked=marked,

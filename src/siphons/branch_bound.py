@@ -1,9 +1,11 @@
 """Branch-and-bound enumeration of minimal siphons over the same CNF encoding.
 
-Depth-first search with unit propagation on the shared `Propagator`; every
-decision takes the lowest-index unassigned variable and tries 0 before 1,
-which makes the leftmost solution inclusion-minimal and guarantees that no
-later solution is a subset of an earlier one. On each solution the driver
+Depth-first search with unit propagation on the shared `Propagator`, over
+the engines' encoding (`encoding.encode_branching`: variable k is the k-th
+place of the structural branching order); every decision takes the
+lowest-index unassigned variable and tries 0 before 1, which makes the
+leftmost solution inclusion-minimal and guarantees that no later solution
+is a subset of an earlier one. On each solution the driver
 reads the set and its permanent non-superset clause off the trail in one
 pass and posts the clause unchecked on the live trail, as for the SAT
 engine: the model falsifies it, so `Propagator._post` backjumps to the
@@ -30,8 +32,9 @@ met at the root. `analysis.first_solution_is_minimal_check` cross-checks the
 first solution against the brute-force oracle.
 """
 
-from .encoding import encode_siphon
-from .encoding import blocking_clause  # noqa: F401  (perfbench/tracing.py wraps it here)
+from .encoding import encode_branching
+# perfbench/tracing.py wraps these two here; the engine calls neither
+from .encoding import blocking_clause, encode_siphon  # noqa: F401
 from .net import PetriNet
 from .search import Budget, BudgetClock, EnumerationResult, Propagator, enumerate_sets
 
@@ -214,7 +217,9 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
 
     `trace`, if given, is called with one line per event: `D <var>=<0|1>
     <depth>` for decisions, `B <depth>` for each level a backjump pops (the
-    depth left), `S {places}` for solutions. No `B` lines follow an `S`
+    depth left), `S {places}` for solutions. A `D` line names a variable,
+    which is a position in the branching order (`branching_order(net)[var
+    - 1]` is its place), not a place index. No `B` lines follow an `S`
     line: the depth of the next `D` line gives the level the search resumed
     at, one above the blocking clause's assertion level. A one-place set is
     not searched for, so its `S` line has no `D` lines of its own: it comes
@@ -223,7 +228,7 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     """
     if not net.places:  # no nonempty siphon, and no encoding
         return EnumerationResult()
-    formula, _ = encode_siphon(net)
+    formula, varmap = encode_branching(net)
     prop = Propagator(formula)
-    return enumerate_sets(net, prop, lambda clock: _search(prop, clock, trace),
+    return enumerate_sets(net, varmap, prop, lambda clock: _search(prop, clock, trace),
                           budget, trace)

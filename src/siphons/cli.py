@@ -105,9 +105,9 @@ def _spread(name: str, values: list[int]) -> dict:
     return dict(zip(keys, (min(values), max(values), round(sum(values) / len(values), 3))))
 
 
-def _result_dict(net: PetriNet, sets, stats) -> dict:
-    # `canonical_order`: a set and its names have the same size
-    names = sorted(map(net.set_names, sets), key=lambda n: (len(n), n))
+def _result_dict(names: list[tuple[str, ...]], stats) -> dict:
+    # `canonical_order` of the sets named: a set and its names have the same size
+    names = sorted(names, key=lambda n: (len(n), n))
     return {
         "count": len(names),
         "sets": [list(n) for n in names],
@@ -141,19 +141,21 @@ def cmd_analyze(args) -> int:
     }
     if required is not None:
         payload["contains"] = sorted(net.places[p] for p in required)
-    siphons = None  # all minimal siphons, before --contains, for the report
+    # all minimal siphons, before --contains, for the report, and their names
+    siphons = siphon_names = None
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_file:
         trace = functools.partial(print, file=trace_file) if trace_file else None
         for target in targets:
             run = enumerate_minimal_siphons if target == "siphons" else enumerate_minimal_traps
             result = run(net, engine=args.engine, budget=budget, trace=trace)
-            if target == "siphons":
-                siphons = result
             sets = result.sets if required is None else filter_containing(result.sets, required)
-            payload[target] = _result_dict(net, sets, result.stats)
+            names = list(map(net.set_names, sets))  # each set is named once
+            if target == "siphons":
+                siphons, siphon_names = result, names if required is None else None
+            payload[target] = _result_dict(names, result.stats)
     if args.marking_report:
         report = siphon_trap_report(net, marking, engine=args.engine, budget=budget,
-                                    siphons=siphons)
+                                    siphons=siphons, names=siphon_names)
         payload["marking_report"] = report.to_dict()
 
     if args.output == "json":

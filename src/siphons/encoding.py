@@ -1,22 +1,29 @@
 """CNF encoding of the siphon constraint, plus DIMACS import/export.
 
-Place k-1 maps to Boolean variable k. A true variable selects the place.
-For each place p and each transition t producing p, selecting p requires
-selecting some place consumed by t; one final clause over all variables
-rules out the empty set. Tautological clauses (from self-loops) are
-dropped and duplicate clauses are kept once.
+A true variable selects its place. For each place p and each transition t
+producing p, selecting p requires selecting some place consumed by t; one
+final clause over all variables rules out the empty set. Tautological
+clauses (from self-loops) are dropped and duplicate clauses are kept once.
+
+`encode_siphon` maps place k-1 to variable k. The engines encode through
+`encode_branching` instead, where variable k is the k-th place of
+`branching_order`, a breadth-first walk over the net's structure: both
+branch on the lowest free variable, so this order, not the order in which
+a model file lists its places, decides how the search runs. A `VarMap`
+carries the bijection either way.
 
 Each index is checked once, where it enters: `PetriNet.__init__` checks
 every arc, and `check_clause` every literal from outside (DIMACS text, a
 caller's clause or SAT assumptions) for `CnfFormula.add_clause`,
-`Propagator.add_clause` and `SatSolver.solve`. `encode_siphon` reads the
-net's checked adjacency directly and builds its clauses without checking
-them again, and the engines attach a formula's clauses as they are.
+`Propagator.add_clause` and `SatSolver.solve`. The encoders read the net's
+checked adjacency directly and build their clauses without checking them
+again, and the engines attach a formula's clauses as they are.
 """
 
+import functools
 from collections.abc import Iterable, Sequence
 
-from .net import PetriNet, PlaceSet
+from .net import _INT, PetriNet, PlaceSet
 from .reactions import ParseError
 
 Clause = tuple[int, ...]
@@ -49,7 +56,7 @@ class CnfFormula:
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
         # The clauses as literal sets, built on the first `add_clause`, so a
-        # formula that `encode_siphon` fills directly pays for no index.
+        # formula that an encoder fills directly pays for no index.
         self._seen: set[frozenset[int]] | None = None
 
     def add_clause(self, literals: Iterable[int]) -> bool:
@@ -77,10 +84,31 @@ class CnfFormula:
 
 class VarMap:
     """The fixed bijection between place indices and DIMACS variables.
-    An index must be a plain int: `type(...) is int` rejects a bool too."""
 
-    def __init__(self, place_names: Sequence[str]):
-        self.names = tuple(place_names)
+    `order` lists the places by variable: variable k is place `order[k-1]`,
+    and `var_of[p]` is the variable of place p. Without an order, variable
+    k is place k-1 and `order` is a range. `names` are the place names by
+    variable, as `export_dimacs` writes them. An index must be a plain int:
+    `type(...) is int` rejects a bool too."""
+
+    def __init__(self, place_names: Sequence[str], order: Sequence[int] | None = None):
+        if order is None:
+            self.order: Sequence[int] = range(len(place_names))
+            self.names = tuple(place_names)
+            return
+        order = tuple(order)
+        if (len(order) != len(place_names) or not _INT.issuperset(map(type, order))
+                or set(order) != set(range(len(order)))):
+            raise ValueError("order must list every place index once")
+        self.order = order
+        self.names = tuple([place_names[p] for p in order])
+
+    @functools.cached_property
+    def var_of(self) -> tuple[int, ...]:
+        var_of = [0] * len(self.order)
+        for k, p in enumerate(self.order, start=1):
+            var_of[p] = k
+        return tuple(var_of)
 
     @property
     def num_vars(self) -> int:
@@ -89,52 +117,119 @@ class VarMap:
     def var(self, place: int) -> int:
         if type(place) is not int or not 0 <= place < len(self.names):
             raise ValueError(f"invalid place index {place!r}")
-        return place + 1
+        return self.var_of[place]
 
     def place(self, var: int) -> int:
         if type(var) is not int or not 1 <= var <= len(self.names):
             raise ValueError(f"invalid variable {var!r}")
-        return var - 1
+        return self.order[var - 1]
 
     def true_places(self, model: Assignment) -> PlaceSet:
         """Place set selected by a model (indexed by variable-1)."""
         if len(model) != len(self.names):
             raise ValueError("model length does not match variable count")
-        return frozenset(i for i, value in enumerate(model) if value)
+        order = self.order
+        return frozenset([order[i] for i, value in enumerate(model) if value])
 
 
 def encode_siphon(net: PetriNet) -> tuple[CnfFormula, VarMap]:
-    """CNF whose models are exactly the nonempty siphons of the net."""
+    """CNF whose models are exactly the nonempty siphons of the net, with
+    variable k for place k-1."""
+    return _encode(net, False)
+
+
+def encode_branching(net: PetriNet) -> tuple[CnfFormula, VarMap]:
+    """`encode_siphon` as both engines search it: variable k is the k-th
+    place of `branching_order(net)`, and the clauses come by variable."""
+    return _encode(net, True)
+
+
+def branching_order(net: PetriNet) -> tuple[int, ...]:
+    """The places in the order the engines branch on them (see `_walk`),
+    read off the engines' encoding."""
+    return encode_branching(net)[1].order
+
+
+def _walk(inputs: list[list[int]], consumers: list[list[int]],
+          producers: list[list[int]]) -> list[int]:
+    """The places in breadth-first order over the net's structure.
+
+    Each transition's inputs and each place's consumers and producers come
+    in increasing index. A walk starts at the lowest-index place not yet
+    reached. Visiting place p expands each not yet expanded consumer of p,
+    then each such producer; expanding a transition appends its inputs not
+    yet reached. The places a clause ties together, a place and the inputs
+    of its producer or its co-inputs, so get nearby variables, whatever
+    order the model file lists them in. O(places + arcs).
+    """
+    n = len(consumers)
+    order: list[int] = []
+    reached = [False] * n
+    expanded = [False] * len(inputs)
+    head = 0
+    for root in range(n):
+        if reached[root]:
+            continue
+        reached[root] = True
+        order.append(root)
+        while head < len(order):
+            p = order[head]
+            head += 1
+            for t in consumers[p] + producers[p]:
+                if not expanded[t]:
+                    expanded[t] = True
+                    for q in inputs[t]:
+                        if not reached[q]:
+                            reached[q] = True
+                            order.append(q)
+    return order
+
+
+def _encode(net: PetriNet, structural: bool) -> tuple[CnfFormula, VarMap]:
     n = len(net.places)
     if n == 0:
         raise ValueError("cannot encode a net without places")
     # The net's arcs are checked, so the clauses are built as they are stored
-    # (see the module docstring). A clause is -p followed by its producer's
-    # input variables in ascending order; one that holds p is a tautology,
-    # and as the form is canonical, equal tuples are exactly duplicates.
+    # (see the module docstring). A clause is the place's negated variable
+    # followed by its producer's input variables in ascending order; one
+    # that holds the place is a tautology, and as the form is canonical,
+    # equal tuples are exactly duplicates. Each place's consumers, each
+    # transition's inputs and its input variables come out ascending from a
+    # pass over the arcs in that order, not from a sort.
     inputs = net._pre_places
-    sorted_inputs = [tuple([q + 1 for q in sorted(s)]) for s in inputs]
-    clauses: list[Clause] = []
-    seen: set[Clause] = set()
-    for p, producers in enumerate(net._pre_transitions):
-        head = (-(p + 1),)
-        for t in sorted(producers):
-            if p not in inputs[t]:
-                clause = head + sorted_inputs[t]
-                if clause not in seen:
-                    seen.add(clause)
-                    clauses.append(clause)
+    consumers: list[list[int]] = [[] for _ in range(n)]
+    for t, ins in enumerate(inputs):
+        for q in ins:
+            consumers[q].append(t)
+    producers = [sorted(s) for s in net._pre_transitions]
+    if structural:
+        sorted_inputs: list[list[int]] = [[] for _ in inputs]
+        for p, ts in enumerate(consumers):
+            for t in ts:
+                sorted_inputs[t].append(p)
+        varmap = VarMap(net.places, _walk(sorted_inputs, consumers, producers))
+    else:
+        varmap = VarMap(net.places)
+    input_vars: list = [[] for _ in inputs]
+    for k, p in enumerate(varmap.order, start=1):
+        for t in consumers[p]:
+            input_vars[t].append(k)
+    input_vars = list(map(tuple, input_vars))
+    clauses: list[Clause] = list(dict.fromkeys([
+        (-k,) + input_vars[t]
+        for k, p in enumerate(varmap.order, start=1) for t in producers[p] if p not in inputs[t]]))
     clauses.append(tuple(range(1, n + 1)))
     formula = CnfFormula(n)
     formula.clauses = clauses
-    return formula, VarMap(net.places)
+    return formula, varmap
 
 
 def blocking_clause(s: PlaceSet, varmap: VarMap) -> Clause:
-    """Clause excluding s and every superset of s."""
+    """Clause excluding s and every superset of s: the negated variables of
+    its places, in ascending variable order."""
     if not s:
         raise ValueError("cannot block the empty set")
-    return tuple(-varmap.var(p) for p in sorted(s))
+    return tuple([-v for v in sorted(map(varmap.var, s))])
 
 
 def evaluate(formula: CnfFormula, model: Assignment) -> bool:

@@ -5,7 +5,9 @@ The solver is a small CDCL on the shared watched-literal `Propagator`
 each learned clause posted unchecked through `Propagator._post`, which
 backjumps; a solve never starts over and never deletes a clause.
 Branching is the shared fixed rule: the lowest-index unassigned
-variable, False before True.
+variable, False before True. Both engines encode the net through
+`encoding.encode_branching`, so variable k is the k-th place of the
+structural branching order, not of the model file's place list.
 Each learned clause is minimized (a literal goes when every other literal
 of its reason clause is in the clause or fixed at level 0) and stored with
 the asserting literal first and the rest by decreasing decision level, so
@@ -21,15 +23,17 @@ generator under the shared driver (`search.enumerate_sets`), which counts
 the solves and asks the run's one `BudgetClock` after each set; each solve
 counts its conflicts on the clock and asks it after each of them. Each solve
 returns the lexicographically least model of the clause store (False below
-True). Only the branching rule matters for that, the lowest-index variable
-and the 0-first phase, with sound propagation: if the model found first
-differed from the least one, at the first variable where they differ it
-would be 1 by implication from 0-decisions and clauses that the least
-model shares, so the least model would be 1 there too. The least model is
-inclusion-minimal among the models left; blocking clauses remove only
-supersets of sets already found, so every model is a new minimal siphon.
-The driver posts the one-place minimal siphons as units before the first
-solve and merges them into the output without search. It reads each
+True, variable 1 most significant), so the sets come in increasing lex order
+of their characteristic vectors under the branching order, the same list as
+branch-and-bound's. Only the branching rule matters for that, the
+lowest-index variable and the 0-first phase, with sound propagation: if the
+model found first differed from the least one, at the first variable where
+they differ it would be 1 by implication from 0-decisions and clauses that
+the least model shares, so the least model would be 1 there too. The least
+model is inclusion-minimal among the models left; blocking clauses remove
+only supersets of sets already found, so every model is a new minimal
+siphon. The driver posts the one-place minimal siphons as units before the
+first solve and merges them into the output without search. It reads each
 model's set and blocking clause off the trail in one pass and posts the
 clause unchecked, like a learned one: the model falsifies it, so it is
 stored by decreasing level, the search backjumps to the clause's
@@ -43,8 +47,9 @@ below them, so the models and their order do not change.
 
 from enum import Enum
 
-from .encoding import Assignment, CnfFormula, check_clause, encode_siphon
-from .encoding import blocking_clause  # noqa: F401  (perfbench/tracing.py wraps it here)
+from .encoding import Assignment, CnfFormula, check_clause, encode_branching
+# perfbench/tracing.py wraps these two here; the engine calls neither
+from .encoding import blocking_clause, encode_siphon  # noqa: F401
 from .net import PetriNet
 from .search import Budget, BudgetClock, EnumerationResult, Propagator, enumerate_sets
 
@@ -75,9 +80,9 @@ class SatSolver(Propagator):
         self.conflicts = 0
 
     @staticmethod
-    def _stored(clause) -> list[int]:
+    def _stored(clauses):
         """Input clauses go in highest variable first (see the module docstring)."""
-        return sorted(clause, key=abs, reverse=True)
+        return [sorted(clause, key=abs, reverse=True) for clause in clauses]
 
     # -- conflict analysis ----------------------------------------------------
 
@@ -214,7 +219,7 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
     """
     if not net.places:  # no nonempty siphon, and no encoding
         return EnumerationResult()
-    formula, _ = encode_siphon(net)
+    formula, varmap = encode_branching(net)
     solver = SatSolver(formula)
 
     def search(clock: BudgetClock):
@@ -223,4 +228,4 @@ def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> Enumer
         while solver.solve(budget=clock) is SolveStatus.SAT:
             yield
 
-    return enumerate_sets(net, solver, search, budget)
+    return enumerate_sets(net, varmap, solver, search, budget)

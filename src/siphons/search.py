@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from numbers import Real
 
-from .encoding import CnfFormula, check_clause
+from .encoding import CnfFormula, VarMap, check_clause
 from .net import PetriNet, PlaceSet, format_place_set
 
 
@@ -198,7 +198,7 @@ class Propagator:
         self.conflict: int | None = None     # the clause the last `decide` falsified
         self.propagations = 0
         self.decisions = 0
-        self._add_root(map(self._stored, formula.clauses))
+        self._add_root(self._stored(formula.clauses))
         self.num_input = len(self.clauses)
 
     # -- assignment bookkeeping -------------------------------------------
@@ -270,9 +270,9 @@ class Propagator:
     # -- clause management ---------------------------------------------------
 
     @staticmethod
-    def _stored(clause) -> list[int]:
-        """A formula clause as the store keeps it: a fresh list, as ordered."""
-        return list(clause)
+    def _stored(clauses):
+        """A formula's clauses as the store keeps them: fresh lists, as ordered."""
+        return map(list, clauses)
 
     def add_clause(self, literals) -> bool:
         """Add a permanent clause; returns False once the store is UNSAT at the root.
@@ -312,62 +312,72 @@ class Propagator:
                     top, second = level[-live[0]], level[-live[1]]
                     if top != second:
                         self._cancel_until(second)
-                        self._enqueue(live[0], self._attach(live))
+                        self._enqueue(live[0], self._attach((live,)))
                     else:
                         self._cancel_until(top - 1)
-                        self._attach(live)
+                        self._attach((live,))
                     return True
             self._cancel_until(0)
         return self._add_root((clause,))
 
-    def _block_model(self) -> PlaceSet:
+    def _block_model(self) -> list[int]:
         """Post the non-superset clause of the full model on the trail and
-        return the model's place set (place k-1 is variable k).
+        return the model's true variables in ascending order.
 
-        One pass over the trail gives both, from its true variables in
-        ascending order: the clause is `blocking_clause` of the set, in the
-        same literal order, which `_post` sorts stably by level. It is
-        built in range and duplicate-free, so it goes in unchecked.
+        One pass over the trail gives both: the clause is `blocking_clause`
+        of the model's set, in the same literal order, which `_post` sorts
+        stably by level. It is built in range and duplicate-free, so it
+        goes in unchecked.
         """
         true = sorted([q for q in self.trail if q > 0])
         self._post([-v for v in true])
-        return frozenset([v - 1 for v in true])
+        return true
 
     def _add_root(self, clauses) -> bool:
         """Take duplicate-free clauses in range in at the root, no decision
         open; returns False once the store is UNSAT.
 
-        While nothing is assigned, a clause is attached as it is; from then
-        on a clause satisfied at the root is skipped and its literals false
-        there are dropped. Units are enqueued, and propagated once, after
-        the last clause.
+        While nothing is assigned, a clause is kept as it is; from then on
+        a clause satisfied at the root is skipped and its literals false
+        there are dropped. Units are enqueued as they come; the longer
+        clauses are attached together, in their order, and the units
+        propagated once, after the last clause.
         """
         if self.conflicting:
             return False
         assign = self.assign
         trail = self.trail
+        long: list[list[int]] = []
         for clause in clauses:
             if trail:
                 if any(assign[q] == 1 for q in clause):
                     continue
                 clause = [q for q in clause if not assign[q]]
             if len(clause) > 1:
-                self._attach(clause)
+                long.append(clause)
             elif clause:
                 self._enqueue(clause[0], None)
             else:
+                self._attach(long)
                 self.conflicting = True
                 return False
+        self._attach(long)
         self.conflicting = self._propagate() is not None
         return not self.conflicting
 
-    def _attach(self, clause: list[int]) -> int:
-        """Store a clause of two or more literals, watching its first two."""
-        ci = len(self.clauses)
-        self.clauses.append(clause)
-        self.spans.append(range(2, len(clause)))
-        self.watches[clause[0]].append(ci)
-        self.watches[clause[1]].append(ci)
+    def _attach(self, clauses) -> int:
+        """Store clauses of two or more literals, each watching its first
+        two; returns the index of the last."""
+        stored = self.clauses
+        spans = self.spans
+        watches = self.watches
+        ci = len(stored) - 1
+        for clause in clauses:
+            ci += 1
+            stored.append(clause)
+            spans.append(range(2, len(clause)))
+            watches[clause[0]].append(ci)
+            watches[clause[1]].append(ci)
         return ci
 
     # -- unit propagation ---------------------------------------------------
@@ -472,19 +482,20 @@ class Propagator:
         self._cancel_until(self.decision_level - 1)
 
 
-def enumerate_sets(net: PetriNet, store: Propagator, search,
+def enumerate_sets(net: PetriNet, varmap: VarMap, store: Propagator, search,
                    budget: Budget | None, emit=None) -> EnumerationResult:
     """Run an engine's search over `store`, which holds the encoding of
-    `net`, and return its sets with the one-place minimal siphons merged
-    in, each certified by `accept` and passed to `emit`, if given, as an
-    `S {places}` line.
+    `net` under `varmap`, and return its sets with the one-place minimal
+    siphons merged in, each certified by `accept` and passed to `emit`, if
+    given, as an `S {places}` line.
 
     `search(clock)` is a generator that only searches: it yields each time
     a full model of the store stands on its trail, counts its conflicts on
     `clock` and stops when `clock.exhausted()` after a conflict that does
-    not end the search. The driver reads the model's set off the trail and
-    posts its blocking clause (`Propagator._block_model`) before it resumes
-    the search. It counts a solve call for the first descent and one for
+    not end the search. The driver reads the model's true variables off the
+    trail and posts its blocking clause (`Propagator._block_model`) before
+    it resumes the search, and maps the variables back to places through
+    `varmap`. It counts a solve call for the first descent and one for
     each resume after a set. It asks the clock after each set, unless the
     store is UNSAT at the root, where the resumed engine ends the run
     complete. It fills in every stat, the `elapsed_ms` covering the last
@@ -493,16 +504,18 @@ def enumerate_sets(net: PetriNet, store: Propagator, search,
     A place p whose producers all consume p, or that has none, is the
     minimal siphon {p}, and no other minimal siphon contains p: these are
     read off the net's adjacency, as the places whose producer set lies
-    inside their consumer set. The units -(p + 1) go into `store` together,
+    inside their consumer set. The units -var(p) go into `store` together,
     at the root, before the search starts, so it finds the other minimal
     siphons and never branches on such a p.
 
     Both engines emit sets in increasing lexicographic order of their
-    characteristic vectors (variable 1 most significant, 0 before 1), that
-    is, in decreasing order of their least place. {p} comes before a set S
-    exactly when p > min(S), so the pending {p} with p > min(S) go out
-    before S, in decreasing p, and the rest after the search ends. A run
-    cut by its budget drops the rest, so it is a prefix of the full one.
+    characteristic vectors over the variables (variable 1 most
+    significant, 0 before 1), that is, in decreasing order of their least
+    variable. {p} comes before a set S exactly when var(p) exceeds the
+    least variable of S, so the pending {p} with a greater variable go out
+    before S, in decreasing variable, and the rest after the search ends.
+    A run cut by its budget drops the rest, so it is a prefix of the full
+    one.
     """
     clock = BudgetClock(budget)
     result = EnumerationResult()
@@ -514,24 +527,26 @@ def enumerate_sets(net: PetriNet, store: Propagator, search,
             emit("S " + format_place_set(net, s))
 
     pre, post = net._pre_transitions, net._post_transitions
-    places = [p for p in range(len(pre) - 1, -1, -1) if pre[p] <= post[p]]  # decreasing
-    store._add_root([-p - 1] for p in places)
+    order = varmap.order  # variable k is place order[k - 1]
+    units = [k for k in range(len(order), 0, -1)  # decreasing
+             if pre[order[k - 1]] <= post[order[k - 1]]]
+    store._add_root([-k] for k in units)
     i = 0
     if not clock.exhausted():
         stats.solve_calls = 1
         for _ in search(clock):
-            s = store._block_model()
-            least = min(s)
-            while i < len(places) and places[i] > least:
-                take(frozenset((places[i],)))
+            true = store._block_model()
+            least = true[0]
+            while i < len(units) and units[i] > least:
+                take(frozenset((order[units[i] - 1],)))
                 i += 1
-            take(s)
+            take(frozenset([order[k - 1] for k in true]))
             if not store.conflicting and clock.exhausted():
                 break
             stats.solve_calls += 1
     if not clock.timed_out:
-        for p in places[i:]:
-            take(frozenset((p,)))
+        for k in units[i:]:
+            take(frozenset((order[k - 1],)))
     stats.timed_out = clock.timed_out
     stats.conflicts = clock.conflicts
     stats.decisions = store.decisions

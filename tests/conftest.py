@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from siphons import PetriNet, gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net
+from siphons import (PetriNet, branching_order, gen_3sat_reduction, gen_chain, gen_random_3sat,
+                     gen_random_net)
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -95,9 +96,10 @@ def least_model_corpus():
 
 
 def least_model_order(net, sets):
-    """Sets in the order of the 0-first search: by membership vector in place
-    order, absent before present."""
-    return sorted(sets, key=lambda s: [p in s for p in range(len(net.places))])
+    """Sets in the order of the 0-first search: by membership vector in the
+    engines' branching order, absent before present."""
+    order = branching_order(net)
+    return sorted(sets, key=lambda s: [p in s for p in order])
 
 
 def singleton_heavy_nets() -> list[PetriNet]:

@@ -113,6 +113,26 @@ def test_report_enzyme(enzyme):
     assert not report.timed_out
 
 
+def test_report_takes_names_given_with_the_siphons(monkeypatch):
+    # A caller that has named the siphons passes the names along, and the
+    # report names only the traps; the rows are those of a report that
+    # names the siphons itself.
+    net = gen_chain(4)
+    marking = net.marking({"A1": 1, "B3": 2})
+    siphons = enumerate_minimal_siphons(net)
+    expected = siphon_trap_report(net, marking, siphons=siphons)
+    given = [net.set_names(s) for s in siphons.sets]
+    named = []
+    set_names = PetriNet.set_names
+    monkeypatch.setattr(PetriNet, "set_names", lambda n, s: named.append(s) or set_names(n, s))
+    report = siphon_trap_report(net, marking, siphons=siphons, names=given)
+    assert report == expected
+    assert len(named) == len(siphons.sets)  # one per row, for its trap
+    for kwargs in ({"siphons": siphons, "names": given[1:]}, {"names": given}):
+        with pytest.raises(ValueError, match="each set of the given siphons"):
+            siphon_trap_report(net, marking, **kwargs)
+
+
 def test_report_zero_marking(potato):
     report = siphon_trap_report(potato, potato.marking({}))
     assert all(not row.trap_marked for row in report.rows)

@@ -337,7 +337,7 @@ def test_bb_matches_the_oracle_in_least_model_order(target):
             searched, oracle = net, brute_force_minimal_siphons(net)
         else:
             searched, oracle = net.dual(), brute_force_minimal_traps(net)
-        assert enumerate_minimal_bb(searched).sets == least_model_order(net, oracle)
+        assert enumerate_minimal_bb(searched).sets == least_model_order(searched, oracle)
 
 
 def test_bb_backjumps_past_decisions_a_conflict_does_not_depend_on():
@@ -353,11 +353,10 @@ def test_bb_backjumps_past_decisions_a_conflict_does_not_depend_on():
 
 
 def test_bb_replay_stops_at_a_decision_the_new_clause_implies(monkeypatch):
-    # With seed 38, some blocking clause forces a variable of the replayed
-    # path to the value the path had decided for it. The replay stops there
-    # and the search goes on from that level, so no later level shifts down
-    # under the levels recorded for backjumping. Seed 5 did so too while its
-    # one-place siphons were still searched for.
+    # With seeds 38 and 271, some blocking clause forces a variable of the
+    # replayed path to the value the path had decided for it. The replay
+    # stops there and the search goes on from that level, so no later level
+    # shifts down under the levels recorded for backjumping.
     events = []
     value = Propagator.value
 
@@ -368,7 +367,7 @@ def test_bb_replay_stops_at_a_decision_the_new_clause_implies(monkeypatch):
 
     monkeypatch.setattr(Propagator, "value", spy)
     implied = 0
-    for seed in (5, 38):
+    for seed in (38, 271):
         net = random_net_corpus(1, base_seed=seed)[0]
         events.clear()
         res = enumerate_minimal_bb(net, trace=events.append)
@@ -466,8 +465,9 @@ def cone_levels(prop):
 
 def test_bb_failure_masks_are_exact(monkeypatch):
     # Each failure's mask, those given without a trace too, is exactly the
-    # set of levels its cone over the whole trail reaches. The traps of a
-    # reduction at n=20 take about 10^6 conflicts, so they run on a budget.
+    # set of levels its cone over the whole trail reaches. In the branching
+    # order the reductions' trap searches take tens of conflicts, so the
+    # siphons of the n=30 reductions bring most of the failures.
     masks = []
     failure = _Dependencies.failure
 
@@ -477,11 +477,11 @@ def test_bb_failure_masks_are_exact(monkeypatch):
         return levels
 
     monkeypatch.setattr(_Dependencies, "failure", checked)
-    runs = [(gen_chain(8), None), (gen_chain(8).dual(), None)]
-    for alpha in (3.0, 4.26, 6.0):
-        net = gen_3sat_reduction(gen_random_3sat(20, round(alpha * 20), 0))
-        runs += [(net, None), (net.dual(), Budget(max_conflicts=2000))]
-    for net, budget in runs:
-        enumerate_minimal_bb(net, budget=budget)
+    nets = [gen_chain(8), gen_chain(8).dual()]
+    for n, alpha in product((20, 30), (3.0, 4.26, 6.0)):
+        net = gen_3sat_reduction(gen_random_3sat(n, round(alpha * n), 0))
+        nets += [net, net.dual()]
+    for net in nets:
+        assert enumerate_minimal_bb(net, budget=Budget(max_conflicts=20_000)).complete
     assert len(masks) > 3000
     assert all(levels == cone for levels, cone in masks)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siphons import (CnfFormula, ParseError, PetriNet, Propagator, VarMap, blocking_clause,
-                     encode_siphon, evaluate, export_dimacs, parse_dimacs)
+                     branching_order, encode_branching, encode_siphon, evaluate, export_dimacs,
+                     gen_3sat_reduction, gen_chain, gen_random_3sat, parse_dimacs)
 
-from conftest import enzyme_net, irregular_net, random_net_corpus
+from conftest import enzyme_cascade, enzyme_net, irregular_net, random_net_corpus
 
 ENZYME_CLAUSES = {(-2, 3), (-3, 1, 2), (-1, 3), (-4, 3), (1, 2, 3, 4)}
 
@@ -81,6 +82,80 @@ def test_varmap_rejects_indices_out_of_range_and_bools():
     for bad in (0, 3, True, False, 1.0):
         with pytest.raises(ValueError, match="invalid variable"):
             varmap.place(bad)
+
+
+# -- the engines' branching order ------------------------------------------------
+
+def ordered_names(net):
+    return [net.places[p] for p in branching_order(net)]
+
+
+def test_branching_order_of_a_chain():
+    # A1's consumer T1 brings B1 and its producer T4 brings A4 and B4; A4's
+    # producer T3 then brings A3 and B3, and A3's producer T2 A2 and B2.
+    assert ordered_names(gen_chain(4)) == ["A1", "B1", "A4", "B4", "A3", "B3", "A2", "B2"]
+
+
+def test_branching_order_of_a_reduction_dual():
+    # In the dual, q0's producer t0 consumes every r place, and each r
+    # place's producer consumes one s place: q0, the r places, the s places.
+    net = gen_3sat_reduction(gen_random_3sat(6, 20, 1)).dual()
+    pairs = [(f"{x}{i}", f"{x}{i}b") for x in "rs" for i in range(1, 7)]
+    assert ordered_names(net) == ["q0"] + [name for pair in pairs for name in pair]
+
+
+def test_branching_order_keeps_file_order_where_it_walks_that_way():
+    # The enzyme model's siphons and the cascade's siphons and traps walk in
+    # file order, so bb's first enzyme set and its traces there are as before.
+    for net in (enzyme_net(), enzyme_cascade(30), enzyme_cascade(30).dual()):
+        assert branching_order(net) == tuple(range(len(net.places)))
+
+
+def test_branching_order_is_a_permutation_reaching_every_place():
+    # every place once, disconnected ones and isolated ones included; each
+    # component starts at its lowest-index place
+    rng = random.Random(5)
+    for _ in range(200):
+        net = irregular_net(rng)
+        order = branching_order(net)
+        assert sorted(order) == list(range(len(net.places)))
+        assert order[0] == 0
+
+
+def test_encode_branching_is_encode_siphon_renumbered():
+    # the same clauses, variable k standing for the k-th place of the order,
+    # each as the place's negated variable and then its producer's inputs
+    # in ascending variable order; the VarMap translates both ways
+    rng = random.Random(9)
+    for _ in range(300):
+        net = irregular_net(rng)
+        plain, _ = encode_siphon(net)
+        formula, varmap = encode_branching(net)
+        assert varmap.order == branching_order(net)
+        assert formula.clauses[-1] == tuple(range(1, formula.num_vars + 1))
+        # a literal of this formula as a literal of `encode_siphon`'s
+        renumbered = [frozenset((1 if q > 0 else -1) * (varmap.place(abs(q)) + 1) for q in c)
+                      for c in formula.clauses]
+        assert len(renumbered) == len(plain.clauses)
+        assert set(renumbered) == set(map(frozenset, plain.clauses))
+        for clause in formula.clauses[:-1]:
+            assert clause[0] < 0 and list(clause[1:]) == sorted(clause[1:])
+        assert [varmap.var(p) for p in varmap.order] == list(range(1, formula.num_vars + 1))
+        assert varmap.names == tuple(net.places[p] for p in varmap.order)
+
+
+def test_varmap_with_an_order():
+    varmap = VarMap(["a", "b", "c"], (2, 0, 1))
+    assert varmap.names == ("c", "a", "b")
+    assert [varmap.var(p) for p in range(3)] == [2, 3, 1]
+    assert [varmap.place(v) for v in (1, 2, 3)] == [2, 0, 1]
+    assert varmap.true_places((True, False, True)) == {2, 1}
+    # the clause lists its variables in ascending order
+    assert blocking_clause(frozenset({0, 2}), varmap) == (-1, -2)
+    assert "c var 1 = c" in export_dimacs(CnfFormula(3), varmap).splitlines()
+    for bad in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, True), (0, 1, 2.0), (0, 1, -1)):
+        with pytest.raises(ValueError, match="order"):
+            VarMap(["a", "b", "c"], bad)
 
 
 def test_formula_add_clause_rules():
