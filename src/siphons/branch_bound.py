@@ -1,11 +1,11 @@
 """Branch-and-bound enumeration of minimal siphons over the same CNF encoding.
 
 Depth-first search with unit propagation on the shared `Propagator`, over
-the engines' encoding (`encoding.encode_branching`: variable k is the k-th
-place of the structural branching order); every decision takes the
-lowest-index unassigned variable and tries 0 before 1, which makes the
-leftmost solution inclusion-minimal and guarantees that no later solution
-is a subset of an earlier one. On each solution the driver
+the encoding that the shared driver builds (`encoding.encode_branching`:
+variable k is the k-th place of the structural branching order); every
+decision takes the lowest-index unassigned variable and tries 0 before 1,
+which makes the leftmost solution inclusion-minimal and guarantees that no
+later solution is a subset of an earlier one. On each solution the driver
 reads the set and its permanent non-superset clause off the trail in one
 pass and posts the clause unchecked on the live trail, as for the SAT
 engine: the model falsifies it, so `Propagator._post` backjumps to the
@@ -32,7 +32,6 @@ met at the root. `analysis.first_solution_is_minimal_check` cross-checks the
 first solution against the brute-force oracle.
 """
 
-from .encoding import encode_branching
 # perfbench/tracing.py wraps these two here; the engine calls neither
 from .encoding import blocking_clause, encode_siphon  # noqa: F401
 from .net import PetriNet
@@ -226,9 +225,5 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     just before the `S` line of the first searched set with a lower least
     place, or after the search ends.
     """
-    if not net.places:  # no nonempty siphon, and no encoding
-        return EnumerationResult()
-    formula, varmap = encode_branching(net)
-    prop = Propagator(formula)
-    return enumerate_sets(net, varmap, prop, lambda clock: _search(prop, clock, trace),
+    return enumerate_sets(net, Propagator, lambda prop, clock: _search(prop, clock, trace),
                           budget, trace)

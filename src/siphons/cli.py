@@ -205,7 +205,7 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
-        if not all(map(math.isfinite, alphas)):
+        if not all(0 <= a < math.inf for a in alphas):  # nan, inf and a negative ratio
             raise ValueError
     except ValueError:
         raise ValueError(f"bad alpha list {args.alpha!r}") from None
@@ -263,7 +263,10 @@ def cmd_stats(args) -> int:
         except ValueError as exc:  # a ParseError is one
             failures.append((path.name, str(exc)))
             continue
-        result = enumerate_minimal_siphons(net, engine=args.engine, budget=budget)
+        try:
+            result = enumerate_minimal_siphons(net, engine=args.engine, budget=budget)
+        except ValueError as exc:  # the oracle's place cap
+            raise ValueError(f"{path.name}: {exc}") from None
         entries.append({
             "model": path.name,
             "places": len(net.places),

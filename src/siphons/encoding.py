@@ -124,13 +124,6 @@ class VarMap:
             raise ValueError(f"invalid variable {var!r}")
         return self.order[var - 1]
 
-    def true_places(self, model: Assignment) -> PlaceSet:
-        """Place set selected by a model (indexed by variable-1)."""
-        if len(model) != len(self.names):
-            raise ValueError("model length does not match variable count")
-        order = self.order
-        return frozenset([order[i] for i, value in enumerate(model) if value])
-
 
 def encode_siphon(net: PetriNet) -> tuple[CnfFormula, VarMap]:
     """CNF whose models are exactly the nonempty siphons of the net, with
@@ -226,7 +219,13 @@ def _encode(net: PetriNet, structural: bool) -> tuple[CnfFormula, VarMap]:
 
 def blocking_clause(s: PlaceSet, varmap: VarMap) -> Clause:
     """Clause excluding s and every superset of s: the negated variables of
-    its places, in ascending variable order."""
+    its places, in ascending variable order.
+
+    The engines read each set's clause off the trail instead
+    (`Propagator._block_model`). This one stays public as the reference
+    the tests compare `_block_model` against, and as a name that
+    `perfbench/tracing.py` wraps in `siphons.sat` and
+    `siphons.branch_bound`."""
     if not s:
         raise ValueError("cannot block the empty set")
     return tuple([-v for v in sorted(map(varmap.var, s))])

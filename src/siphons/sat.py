@@ -5,9 +5,10 @@ The solver is a small CDCL on the shared watched-literal `Propagator`
 each learned clause posted unchecked through `Propagator._post`, which
 backjumps; a solve never starts over and never deletes a clause.
 Branching is the shared fixed rule: the lowest-index unassigned
-variable, False before True. Both engines encode the net through
-`encoding.encode_branching`, so variable k is the k-th place of the
-structural branching order, not of the model file's place list.
+variable, False before True. The shared driver encodes the net through
+`encoding.encode_branching` and builds the solver over it, so variable k
+is the k-th place of the structural branching order, not of the model
+file's place list.
 Each learned clause is minimized (a literal goes when every other literal
 of its reason clause is in the clause or fixed at level 0) and stored with
 the asserting literal first and the rest by decreasing decision level, so
@@ -47,7 +48,7 @@ below them, so the models and their order do not change.
 
 from enum import Enum
 
-from .encoding import Assignment, CnfFormula, check_clause, encode_branching
+from .encoding import Assignment, CnfFormula, check_clause
 # perfbench/tracing.py wraps these two here; the engine calls neither
 from .encoding import blocking_clause, encode_siphon  # noqa: F401
 from .net import PetriNet
@@ -208,24 +209,20 @@ class SatSolver(Propagator):
                 self._open_level(-self._pick_branch())
 
 
+def _search(solver: SatSolver, clock: BudgetClock):
+    """Solve and yield, and repeat until UNSAT or the budget runs out; the
+    driver blocks each model before the next solve."""
+    while solver.solve(budget=clock) is SolveStatus.SAT:
+        yield
+
+
 def enumerate_minimal_sat(net: PetriNet, budget: Budget | None = None) -> EnumerationResult:
     """All minimal siphons by iterated SAT with non-superset blocking clauses.
 
     Each model is the least one left, so it is a minimal siphon as found
-    (see the module docstring). The driver `enumerate_sets` settles the
-    one-place minimal siphons, certifies every set and keeps the budget:
-    when it runs out, the result is returned as found so far, flagged timed
-    out.
+    (see the module docstring). The driver `enumerate_sets` encodes the
+    net, settles the one-place minimal siphons, certifies every set and
+    keeps the budget: when it runs out, the result is returned as found so
+    far, flagged timed out.
     """
-    if not net.places:  # no nonempty siphon, and no encoding
-        return EnumerationResult()
-    formula, varmap = encode_branching(net)
-    solver = SatSolver(formula)
-
-    def search(clock: BudgetClock):
-        # Solve and yield, and repeat until UNSAT or the budget runs out;
-        # the driver blocks each model before the next solve.
-        while solver.solve(budget=clock) is SolveStatus.SAT:
-            yield
-
-    return enumerate_sets(net, varmap, solver, search, budget)
+    return enumerate_sets(net, SatSolver, _search, budget)

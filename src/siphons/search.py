@@ -19,19 +19,19 @@ at the root leaves for good, as MiniSat removes such clauses (Een and
 Sorensson, SAT 2003). On a net with many sets, most watch visits would
 otherwise go to blocking clauses satisfied that way.
 
-`enumerate_sets` is the one enumeration driver: each engine encodes the
-net, builds its store and hands the driver a generator that only searches.
-The driver owns the run's `BudgetClock`, settles the one-place minimal
-siphons, blocks each set the search finds, certifies it with `accept`, cuts
-the run between sets and fills in every stat. Also here: budgets, stats
-and results.
+`enumerate_sets` is the one enumeration driver: an engine is a store class
+and a generator that only searches. The driver encodes the net, builds the
+engine's store and owns the run's `BudgetClock`; it settles the one-place
+minimal siphons, blocks each set the search finds, maps it back to places,
+certifies it with `accept`, cuts the run between sets and fills in every
+stat. Also here: budgets, stats and results.
 """
 
 import time
 from dataclasses import dataclass, field
 from numbers import Real
 
-from .encoding import CnfFormula, VarMap, check_clause
+from .encoding import CnfFormula, check_clause, encode_branching
 from .net import PetriNet, PlaceSet, format_place_set
 
 
@@ -482,31 +482,33 @@ class Propagator:
         self._cancel_until(self.decision_level - 1)
 
 
-def enumerate_sets(net: PetriNet, varmap: VarMap, store: Propagator, search,
-                   budget: Budget | None, emit=None) -> EnumerationResult:
-    """Run an engine's search over `store`, which holds the encoding of
-    `net` under `varmap`, and return its sets with the one-place minimal
-    siphons merged in, each certified by `accept` and passed to `emit`, if
-    given, as an `S {places}` line.
+def enumerate_sets(net: PetriNet, store_type: type[Propagator], search, budget: Budget | None,
+                   emit=None) -> EnumerationResult:
+    """Encode `net` through `encode_branching`, run an engine's search over
+    a `store_type` built from the formula, and return its sets with the
+    one-place minimal siphons merged in, each certified by `accept` and
+    passed to `emit`, if given, as an `S {places}` line. A net without
+    places has no nonempty siphon and no encoding: its result is empty and
+    complete. The run's `BudgetClock` starts once the store is built.
 
-    `search(clock)` is a generator that only searches: it yields each time
-    a full model of the store stands on its trail, counts its conflicts on
-    `clock` and stops when `clock.exhausted()` after a conflict that does
-    not end the search. The driver reads the model's true variables off the
-    trail and posts its blocking clause (`Propagator._block_model`) before
-    it resumes the search, and maps the variables back to places through
-    `varmap`. It counts a solve call for the first descent and one for
-    each resume after a set. It asks the clock after each set, unless the
-    store is UNSAT at the root, where the resumed engine ends the run
-    complete. It fills in every stat, the `elapsed_ms` covering the last
-    set.
+    `search(store, clock)` is a generator that only searches: it yields
+    each time a full model of the store stands on its trail, counts its
+    conflicts on `clock` and stops when `clock.exhausted()` after a
+    conflict that does not end the search. The driver reads the model's
+    true variables off the trail and posts its blocking clause
+    (`Propagator._block_model`) before it resumes the search, and maps the
+    variables back to places: variable k is place `varmap.order[k - 1]`. It
+    counts a solve call for the first descent and one for each resume
+    after a set. It asks the clock after each set, unless the store is
+    UNSAT at the root, where the resumed engine ends the run complete. It
+    fills in every stat, the `elapsed_ms` covering the last set.
 
     A place p whose producers all consume p, or that has none, is the
     minimal siphon {p}, and no other minimal siphon contains p: these are
     read off the net's adjacency, as the places whose producer set lies
-    inside their consumer set. The units -var(p) go into `store` together,
-    at the root, before the search starts, so it finds the other minimal
-    siphons and never branches on such a p.
+    inside their consumer set. The units -var(p) go into the store
+    together, at the root, before the search starts, so it finds the other
+    minimal siphons and never branches on such a p.
 
     Both engines emit sets in increasing lexicographic order of their
     characteristic vectors over the variables (variable 1 most
@@ -517,6 +519,10 @@ def enumerate_sets(net: PetriNet, varmap: VarMap, store: Propagator, search,
     A run cut by its budget drops the rest, so it is a prefix of the full
     one.
     """
+    if not net.places:
+        return EnumerationResult()
+    formula, varmap = encode_branching(net)
+    store = store_type(formula)
     clock = BudgetClock(budget)
     result = EnumerationResult()
     stats = result.stats
@@ -534,7 +540,7 @@ def enumerate_sets(net: PetriNet, varmap: VarMap, store: Propagator, search,
     i = 0
     if not clock.exhausted():
         stats.solve_calls = 1
-        for _ in search(clock):
+        for _ in search(store, clock):
             true = store._block_model()
             least = true[0]
             while i < len(units) and units[i] > least:

@@ -155,7 +155,7 @@ def test_exit_codes(models_dir, tmp_path):
     assert run(["analyze"])[0] == 1
     assert run(["nonsense"])[0] == 1
     assert run(["--help"])[0] == 0
-    for alpha in ("inf", "nan"):  # not a clause/variable ratio
+    for alpha in ("inf", "nan", "-1"):  # not a clause/variable ratio
         code, _, err = run(["sweep", "--alpha", alpha, "--trials", "1"])
         assert code == 1 and err.splitlines() == [f"error: bad alpha list {alpha!r}"]
     for timeout in ("nan", "inf", "-1"):  # NaN or -1 would mean no budget at all
@@ -294,6 +294,15 @@ def test_stats_lists_an_unparseable_model(models_dir, tmp_path):
     assert (code, err) == (0, "")
     summary = json.loads(out)["summary"]
     assert summary["models"] == 1 and summary["unparseable"] == ["bad.rxn"]
+
+
+def test_stats_names_the_model_it_cannot_enumerate(models_dir, tmp_path):
+    # The oracle stops at 20 places; chain(11) has 22.
+    (tmp_path / "enzyme.rxn").write_text((models_dir / "enzyme.rxn").read_text())
+    assert run(["gen", "chain", "--n", "11", str(tmp_path / "chain11.rxn")])[0] == 0
+    code, out, err = run(["stats", str(tmp_path), "--engine", "oracle"])
+    assert (code, out) == (1, "")
+    assert err == "error: chain11.rxn: net has 22 places; brute force is capped at 20\n"
 
 
 def test_stats_without_model_files_is_a_usage_error(tmp_path):

@@ -23,12 +23,6 @@ def test_enzyme_clause_golden(enzyme):
     assert varmap.place(3) == enzyme.place_index("AE")
 
 
-def test_varmap_true_places(enzyme):
-    _, varmap = encode_siphon(enzyme)
-    model = (False, True, True, False)
-    assert {enzyme.places[p] for p in varmap.true_places(model)} == {"A", "AE"}
-
-
 def test_encoding_models_are_nonempty_siphons(enzyme):
     formula, _ = encode_siphon(enzyme)
     for bits in product((False, True), repeat=4):
@@ -149,7 +143,6 @@ def test_varmap_with_an_order():
     assert varmap.names == ("c", "a", "b")
     assert [varmap.var(p) for p in range(3)] == [2, 3, 1]
     assert [varmap.place(v) for v in (1, 2, 3)] == [2, 0, 1]
-    assert varmap.true_places((True, False, True)) == {2, 1}
     # the clause lists its variables in ascending order
     assert blocking_clause(frozenset({0, 2}), varmap) == (-1, -2)
     assert "c var 1 = c" in export_dimacs(CnfFormula(3), varmap).splitlines()

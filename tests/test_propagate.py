@@ -238,14 +238,14 @@ def test_the_store_invariant_holds_at_every_set(monkeypatch):
     real_enumerate_sets = search.enumerate_sets
     held_at_sets = []
 
-    def checked_enumerate_sets(net, varmap, store, search_, budget, emit=None):
-        def checked(clock):
-            for found in search_(clock):
+    def checked_enumerate_sets(net, store_type, search_, budget, emit=None):
+        def checked(store, clock):
+            for found in search_(store, clock):
                 assert_store_invariant(store)
                 held_at_sets.append(sum(map(len, store.held.values())))
                 yield found
             assert_store_invariant(store)
-        return real_enumerate_sets(net, varmap, store, checked, budget, emit)
+        return real_enumerate_sets(net, store_type, checked, budget, emit)
 
     for module in (sat, branch_bound):
         monkeypatch.setattr(module, "enumerate_sets", checked_enumerate_sets)

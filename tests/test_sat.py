@@ -72,7 +72,7 @@ def test_false_first_polarity(enzyme):
     formula, varmap = encode_siphon(enzyme)
     s = SatSolver(formula)
     assert s.solve() == SolveStatus.SAT
-    assert {enzyme.places[p] for p in varmap.true_places(s.model)} == {"A", "AE"}
+    assert {enzyme.places[varmap.order[i]] for i, x in enumerate(s.model) if x} == {"A", "AE"}
 
 
 def test_pigeonhole_unsat():
@@ -304,7 +304,7 @@ def test_enumerate_equals_brute_force_minimal_models(seed):
     res = enumerate_minimal_sat(net)
     # collect minimal satisfying assignments of the encoding by brute force
     formula, varmap = encode_siphon(net)
-    models = [frozenset(varmap.true_places(bits))
+    models = [frozenset(varmap.order[i] for i, x in enumerate(bits) if x)
               for bits in product((False, True), repeat=formula.num_vars)
               if evaluate(formula, bits)]
     minimal = {m for m in models if not any(o < m for o in models)}
@@ -351,7 +351,7 @@ def test_enumeration_matches_a_fresh_solve_per_set():
                 solver.add_clause(clause)
             if solver.solve() is SolveStatus.UNSAT:
                 break
-            fresh.append(varmap.true_places(solver.model))
+            fresh.append(frozenset(varmap.order[i] for i, x in enumerate(solver.model) if x))
             blocking.append(blocking_clause(fresh[-1], varmap))
         assert res.sets == fresh
         assert res.stats.solve_calls == sum(len(s) > 1 for s in res.sets) + 1

@@ -319,8 +319,7 @@ def test_each_posted_blocking_clause_is_blocking_clause(monkeypatch, enumerate_)
             pairs.clear()
             res = enumerate_(target)
             _, varmap = encode_branching(target)
-            found = [varmap.true_places([v in true for v in range(1, varmap.num_vars + 1)])
-                     for true, _ in pairs]
+            found = [frozenset(varmap.order[k - 1] for k in true) for true, _ in pairs]
             # every one-place minimal siphon is settled without search
             assert found == [s for s in res.sets if len(s) > 1]
             for s, (_, clause) in zip(found, pairs):
