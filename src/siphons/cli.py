@@ -46,10 +46,16 @@ def _load_model(path: Path, fmt: str | None) -> tuple[PetriNet, tuple[int, ...],
     fmt = fmt or FORMATS.get(path.suffix)
     if fmt is None:
         raise ValueError(f"cannot infer format of {path.name!r}; pass --format")
-    text = path.read_text()
+    data = path.read_bytes()  # PNML is parsed as bytes: its XML declaration names the encoding
+    if fmt == "rxn":
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}",
+                             line=data.count(b"\n", 0, exc.start) + 1) from None
     # named here, not in a table bound at import, so a wrapper on this module sees the call
     parse = parse_reactions if fmt == "rxn" else parse_pnml
-    net, marking = parse(text)
+    net, marking = parse(data)
     return net, marking, fmt
 
 
@@ -130,6 +136,8 @@ def cmd_analyze(args) -> int:
                              for name in args.contains.split(",") if name.strip())
     if args.trace and args.engine != "bb":
         raise ValueError("--trace needs --engine bb")
+    if args.marking_report and args.output == "csv":
+        raise ValueError("--marking-report has no csv columns; use --output json or text")
 
     targets = ("siphons", "traps") if args.target == "both" else (args.target,)
     payload = {
@@ -183,6 +191,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
+    fmt = FORMATS.get(out.suffix)
+    if fmt is None:
+        raise ValueError(f"cannot infer format of {out.name!r}; its suffix must be one of "
+                         f"{', '.join(FORMATS)}")
     instance = None
     if args.family == "chain":
         net = gen_chain(args.n)
@@ -193,7 +205,7 @@ def cmd_gen(args) -> int:
         if args.degree > args.places:
             raise ValueError("--degree must be an int between 1 and --places")
         net = gen_random_net(args.places, args.transitions, args.degree, args.seed)
-    out.write_text(export_reactions(net) if out.suffix == ".rxn" else export_pnml(net))
+    out.write_text(export_reactions(net) if fmt == "rxn" else export_pnml(net))
     if instance is not None:
         cnf = out.with_suffix(".cnf")
         cnf.write_text(instance.to_dimacs())

@@ -13,9 +13,9 @@ a model file lists its places, decides how the search runs. A `VarMap`
 carries the bijection either way.
 
 Each index is checked once, where it enters: `PetriNet.__init__` checks
-every arc, and `check_clause` every literal from outside (DIMACS text, a
-caller's clause or SAT assumptions) for `CnfFormula.add_clause`,
-`Propagator.add_clause` and `SatSolver.solve`. The encoders read the net's
+every arc, and `check_clause` every literal from outside (DIMACS text or a
+caller's clause) for `CnfFormula.add_clause` and `Propagator.add_clause`,
+which `SatSolver` inherits. The encoders read the net's
 checked adjacency directly and build their clauses without checking them
 again, and the engines attach a formula's clauses as they are.
 """

@@ -48,7 +48,7 @@ below them, so the models and their order do not change.
 
 from enum import Enum
 
-from .encoding import Assignment, CnfFormula, check_clause
+from .encoding import CnfFormula
 # perfbench/tracing.py wraps these two here; the engine calls neither
 from .encoding import blocking_clause, encode_siphon  # noqa: F401
 from .net import PetriNet
@@ -65,19 +65,19 @@ class SatSolver(Propagator):
     """Incremental CDCL solver over a CnfFormula; clauses may be added between calls.
 
     The clause store, propagation, levels, reasons and branching cursor are
-    the shared `Propagator`; this class adds learning, assumptions and
-    `solve`. Like `assign`, the conflict-analysis mark of a variable is
-    indexed by its true literal. The formula's clauses go in through the
-    store's one root intake, as `Propagator`'s do, reordered highest
-    variable first by `_stored`. A clause added between calls goes through
-    `add_clause`, which checks it; a learned clause is built in range and
-    duplicate-free, so `solve` posts it through `_post` unchecked.
+    the shared `Propagator`; this class adds learning and `solve`, which
+    leaves each model it finds on the trail and resumes from there. Like
+    `assign`, the conflict-analysis mark of a variable is indexed by its
+    true literal. The formula's clauses go in through the store's one root
+    intake, as `Propagator`'s do, reordered highest variable first by
+    `_stored`. A clause added between calls goes through `add_clause`,
+    which checks it; a learned clause is built in range and duplicate-free,
+    so `solve` posts it through `_post` unchecked.
     """
 
     def __init__(self, formula: CnfFormula):
         super().__init__(formula)
         self._seen = [False] * (2 * formula.num_vars + 1)
-        self.model: Assignment | None = None
         self.conflicts = 0
 
     @staticmethod
@@ -147,33 +147,29 @@ class SatSolver(Propagator):
     # -- main search ----------------------------------------------------------
 
     def solve(self, assumptions=(), budget: Budget | BudgetClock | None = None) -> SolveStatus:
-        """SAT with self.model set, UNSAT (under the assumptions), or UNKNOWN on budget.
+        """SAT with the least model on the trail, UNSAT, or UNKNOWN on budget.
 
         `budget` is a cap for this call, or the `BudgetClock` of the run
         this call belongs to, which it shares with the run's other solves.
         Each conflict counts against it, and the search stops when it is
         exhausted after a conflict that does not end the search.
 
-        Without assumptions the search resumes from the trail that the last
-        `solve` or `add_clause` left. That trail holds only 0-first
-        decisions, and every level of it is what a descent from the root
-        would rebuild, so the answer is still the least model of the clause
-        store. A solve under assumptions starts at the root and goes back to
-        it before it returns, and so does one that runs out of budget. The
-        assumptions are checked by `check_clause`, so a repeated one opens no
-        level of its own, and x with -x is UNSAT with the store unchanged.
+        Every solve resumes from the trail that the last `solve` or
+        `add_clause` left, a solve cut by its budget included: nothing is
+        unwound on the way out. That trail holds only 0-first decisions, and
+        every level of it is what a descent from the root would rebuild, so
+        the answer is still the least model of the clause store. After SAT
+        the model stands on the trail, and `value(v)` reads it.
+
+        `assumptions` must be empty: the keyword stays only because
+        `perfbench/tracing.py` passes `assumptions=()` on every call, and
+        the benchmark change (ROADMAP item 1) removes it.
         """
-        self.model = None
+        if assumptions:
+            raise ValueError("solve takes no assumptions")
         if self.conflicting:
             return SolveStatus.UNSAT
-        assumptions = check_clause(assumptions, self.num_vars)
-        if assumptions is None:
-            return SolveStatus.UNSAT
-        if assumptions:
-            self._cancel_until(0)
         clock = budget if isinstance(budget, BudgetClock) else BudgetClock(budget)
-        n_assumptions = len(assumptions)
-
         while True:
             confl = self._propagate()
             # `conflicting` is set here only by a learned unit that
@@ -186,26 +182,10 @@ class SatSolver(Propagator):
                     return SolveStatus.UNSAT
                 self._post(self._analyze(confl))
                 if clock.exhausted():
-                    self._cancel_until(0)
                     return SolveStatus.UNKNOWN
-                continue
-            while self.decision_level < n_assumptions:
-                lit = assumptions[self.decision_level]
-                a = self.assign[lit]
-                if a == -1:
-                    self._cancel_until(0)
-                    return SolveStatus.UNSAT
-                self.trail_lim.append(len(self.trail))
-                self.decision_level += 1
-                if a == 0:
-                    self._enqueue(lit, None)
-                    break
-            else:  # every assumption holds: branch, or stop at a full model
-                if self.all_assigned():
-                    self.model = tuple([a == 1 for a in self.assign[1:self.num_vars + 1]])
-                    if n_assumptions:
-                        self._cancel_until(0)
-                    return SolveStatus.SAT
+            elif self.all_assigned():
+                return SolveStatus.SAT
+            else:
                 self._open_level(-self._pick_branch())
 
 

@@ -61,6 +61,12 @@ def random_net_corpus(count: int, base_seed: int = 0, max_places: int = 12,
     return nets
 
 
+def trail_model(solver) -> tuple[bool, ...]:
+    """The full model on a store's trail, by variable, as `evaluate` takes
+    it; after SAT the solver's answer stands there."""
+    return tuple(solver.value(v) for v in range(1, solver.num_vars + 1))
+
+
 def unit_closure(clauses, literals):
     """Naive unit propagation: the closed set of true literals, or None on conflict."""
     true = set(literals)

@@ -6,7 +6,7 @@ import pytest
 
 from siphons import (Budget, CnfFormula, EnumerationResult, Propagator, SatSolver, SolveStatus,
                      brute_force_minimal_siphons, brute_force_minimal_traps, encode_siphon,
-                     enumerate_minimal_bb, enumerate_minimal_sat, evaluate,
+                     enumerate_minimal_bb, enumerate_minimal_sat,
                      first_solution_is_minimal_check, gen_3sat_reduction, gen_chain,
                      gen_random_3sat, gen_random_net)
 from siphons import analysis
@@ -181,33 +181,6 @@ def test_kernel_matches_naive_unit_closure(engine):
     assert walks > 80 and conflicts > 20 and resumed > 10
 
 
-def test_solver_under_assumptions_matches_closure():
-    # a SAT model extends the unit closure of clauses plus assumptions, and a
-    # conflicting closure means UNSAT; brute force decides the rest
-    rng = random.Random(11)
-    for _ in range(150):
-        num_vars = rng.randint(1, 10)
-        clauses = random_cnf(rng, num_vars)
-        f = CnfFormula(num_vars)
-        for clause in clauses:
-            f.add_clause(clause)
-        solver = SatSolver(f)
-        for _ in range(4):
-            vs = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars))
-            assumptions = [v if rng.random() < 0.5 else -v for v in vs]
-            status = solver.solve(assumptions=assumptions)
-            closure = unit_closure(clauses, assumptions)
-            satisfiable = any(
-                evaluate(f, bits) and all(bits[abs(a) - 1] == (a > 0) for a in assumptions)
-                for bits in product((False, True), repeat=num_vars))
-            assert status == (SolveStatus.SAT if satisfiable else SolveStatus.UNSAT)
-            if closure is None:
-                assert status == SolveStatus.UNSAT
-            if status == SolveStatus.SAT:
-                model = {v if solver.model[v - 1] else -v for v in range(1, num_vars + 1)}
-                assert closure <= model
-
-
 @pytest.mark.parametrize("engine", [Propagator, SatSolver])
 def test_kernel_rejects_out_of_range_variables(engine):
     # negative list indices wrap in the literal-indexed arrays, so every
@@ -228,9 +201,8 @@ def test_kernel_rejects_out_of_range_variables(engine):
         with pytest.raises(ValueError):
             prop.add_clause([1, bad])
     if isinstance(prop, SatSolver):
-        for bad in (n + 1, -(n + 1), 0, True, False):
-            with pytest.raises(ValueError):
-                prop.solve(assumptions=[bad])
+        with pytest.raises(ValueError, match="no assumptions"):
+            prop.solve(assumptions=[1])
         assert prop.solve() == SolveStatus.SAT
 
 

@@ -7,8 +7,8 @@ import contextlib
 import pytest
 from hypothesis import given, strategies as st
 
-from siphons import (enumerate_minimal_siphons, export_pnml, export_reactions, parse_pnml,
-                     parse_reactions, siphon_trap_report)
+from siphons import (PetriNet, enumerate_minimal_siphons, export_pnml, export_reactions,
+                     parse_pnml, parse_reactions, siphon_trap_report)
 from siphons.cli import _json, build_parser, main
 
 
@@ -122,6 +122,35 @@ def test_analyze_marking_report_json(models_dir):
     assert rows[("A", "AE")]["max_trap"] == []
 
 
+def test_analyze_csv_refuses_the_marking_report(models_dir, monkeypatch):
+    # CSV has no report columns, so the pair is a usage error, found before
+    # any enumeration
+    monkeypatch.setattr("siphons.cli.enumerate_minimal_siphons", None)
+    code, out, err = run(["analyze", str(models_dir / "enzyme.rxn"), "--output", "csv",
+                          "--marking-report"])
+    assert (code, out) == (1, "")
+    assert err == "error: --marking-report has no csv columns; use --output json or text\n"
+
+
+def test_model_files_are_decoded_by_format(tmp_path):
+    # PNML is XML, read as bytes in the encoding its declaration names; a
+    # .rxn file is UTF-8, and a byte that is not is a parse error
+    latin = tmp_path / "latin.pnml"
+    cycle = PetriNet(["Aé", "B"], ["t", "u"], {(0, 0): 1, (1, 1): 1}, {(0, 1): 1, (1, 0): 1})
+    latin.write_bytes(export_pnml(cycle).replace('encoding="UTF-8"', 'encoding="ISO-8859-1"')
+                      .encode("iso-8859-1"))
+    assert b"A\xe9" in latin.read_bytes()
+    code, out, err = run(["analyze", str(latin), "--output", "json"])
+    assert (code, err) == (0, "") and json.loads(out)["siphons"]["sets"] == [["Aé", "B"]]
+    bad = tmp_path / "bad.rxn"
+    bad.write_bytes(b"A => B\nB => \xff\n")
+    code, out, err = run(["analyze", str(bad)])
+    assert (code, out, err) == (2, "", "error: line 2: not UTF-8: byte 0xff\n")
+    code, out, err = run(["stats", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert "bad.rxn: unparseable (line 2: not UTF-8: byte 0xff)" in out.splitlines()
+
+
 def test_analyze_pnml_and_format_override(models_dir, tmp_path):
     code, out, _ = run(["analyze", str(models_dir / "reduction_n3m2.pnml")])
     assert code == 0
@@ -158,6 +187,8 @@ def test_exit_codes(models_dir, tmp_path):
     for alpha in ("inf", "nan", "-1"):  # not a clause/variable ratio
         code, _, err = run(["sweep", "--alpha", alpha, "--trials", "1"])
         assert code == 1 and err.splitlines() == [f"error: bad alpha list {alpha!r}"]
+    code, _, err = run(["sweep", "--alpha", ",", "--trials", "1"])  # a list of no ratio
+    assert code == 1 and err.splitlines() == ["error: need at least one alpha"]
     for timeout in ("nan", "inf", "-1"):  # NaN or -1 would mean no budget at all
         for argv in (["analyze", str(models_dir / "enzyme.rxn")],
                      ["sweep", "--alpha", "1", "--vars", "3", "--trials", "1"],
@@ -208,6 +239,19 @@ def test_gen_sat_reduction(tmp_path):
     assert len(net.places) == 17 and len(net.transitions) == 15
     cnf = (tmp_path / "red.cnf").read_text()
     assert "p cnf 4 6" in cnf
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "chain", "--n", "2", "out.txt"],
+    # the suffix of the DIMACS copy, which would overwrite the net
+    ["gen", "sat-reduction", "--vars", "3", "--clauses", "2", "red.cnf"],
+], ids=["txt", "cnf"])
+def test_gen_refuses_a_suffix_it_has_no_writer_for(tmp_path, argv):
+    code, out, err = run(argv[:-1] + [str(tmp_path / argv[-1])])
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot infer format of {argv[-1]!r}; "
+                   "its suffix must be one of .rxn, .pnml, .xml\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_random_net(tmp_path):

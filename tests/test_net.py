@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from siphons import (CnfFormula, NotEnabledError, PetriNet, Propagator, SatSolver, VarMap,
+from siphons import (CnfFormula, NotEnabledError, PetriNet, Propagator, VarMap,
                      format_place_set, gen_chain, isomorphic, random_walk, siphon_trap_report)
 
 from conftest import enzyme_net, example2_net, irregular_net, potato_net, random_net_corpus
@@ -318,7 +318,6 @@ INT_SITES = {  # each call takes the plain int 1 as an index, a weight, a litera
     "pre_transitions": lambda one: gen_chain(2).pre_transitions(one),
     "CnfFormula.add_clause": lambda one: CnfFormula(2).add_clause([one]),
     "Propagator.add_clause": lambda one: Propagator(CnfFormula(2)).add_clause([one]),
-    "SatSolver.solve": lambda one: SatSolver(CnfFormula(2)).solve(assumptions=[one]),
     "VarMap.var": lambda one: VarMap(["a", "b"]).var(one),
     "Propagator.value": lambda one: Propagator(CnfFormula(2)).value(one),
     "CnfFormula": lambda one: CnfFormula(one),

@@ -18,13 +18,13 @@ from collections import Counter
 
 import pytest
 
-from siphons import (Budget, CnfFormula, Propagator, SatSolver, SolveStatus,
+from siphons import (Budget, CnfFormula, Propagator, SatSolver,
                      enumerate_minimal_bb, enumerate_minimal_sat, enumerate_minimal_siphons,
                      enumerate_minimal_traps, gen_3sat_reduction, gen_chain, gen_random_3sat)
 from siphons import branch_bound, sat, search
 from siphons.reactions import export_reactions, parse_reactions
 
-from conftest import enzyme_cascade, random_net_corpus
+from conftest import enzyme_cascade, random_net_corpus, trail_model
 
 
 def reference_propagate(self):
@@ -257,24 +257,25 @@ def test_the_store_invariant_holds_at_every_set(monkeypatch):
 
 
 def test_a_clause_filed_under_an_assumption_is_put_back_at_the_root():
-    # Each distinct assumption opens a level, and a repeated one opens none:
-    # 1, -2 and 4 take levels 1-3. A posted clause is filed under the
-    # assumption that satisfies it, -2, when 4 forces 3 at level 3, and is
-    # put back when the solve returns to the root.
+    # The decisions 1, -2 and 4 take levels 1-3. A posted clause is filed
+    # under the decision that satisfies it, -2, when 4 forces 3 at level 3,
+    # and is put back when the backtrack to level 1 unassigns -2.
     formula = CnfFormula(4)
     formula.add_clause([-4, 3])
     filed = []
 
-    class Checked(SatSolver):
+    class Checked(Propagator):
         def _cancel_until(self, target):
             assert_store_invariant(self)
             filed.append((self.decision_level, list(self.held)))
             super()._cancel_until(target)
 
-    solver = Checked(formula)
-    assert solver.add_clause([-2, -3])
-    assert solver.solve(assumptions=[1] * 5 + [-2, 4]) is SolveStatus.SAT
-    assert solver.model == (True, False, True, True)
-    assert filed == [(0, []), (3, [-2])] and not solver.held
-    assert solver.watches[-3] == [1]
-    assert_store_invariant(solver)
+    store = Checked(formula)
+    assert store.add_clause([-2, -3])
+    assert store.decide(1, True) and store.decide(2, False) and store.decide(4, True)
+    assert trail_model(store) == (True, False, True, True)
+    for _ in range(3):
+        store.backtrack()
+    assert filed == [(3, [-2]), (2, [-2]), (1, [])] and not store.held
+    assert store.watches[-3] == [1]
+    assert_store_invariant(store)

@@ -10,15 +10,8 @@ from siphons import (Budget, CnfFormula, SatSolver, SolveStatus, blocking_clause
 
 from siphons.search import Propagator
 
-from conftest import (enzyme_net, example2_net, least_model_corpus, random_net_corpus,
+from conftest import (example2_net, least_model_corpus, random_net_corpus, trail_model,
                       unit_closure)
-
-
-def brute_force_status(formula, assumptions=()):
-    for bits in product((False, True), repeat=formula.num_vars):
-        if evaluate(formula, bits) and all(bits[abs(a) - 1] == (a > 0) for a in assumptions):
-            return SolveStatus.SAT
-    return SolveStatus.UNSAT
 
 
 def models_of(formula):
@@ -47,7 +40,7 @@ def test_trivial_sat_and_unsat():
     f.add_clause([1])
     s = SatSolver(f)
     assert s.solve() == SolveStatus.SAT
-    assert s.model == (True,)
+    assert trail_model(s) == (True,)
 
     g = CnfFormula(1)
     g.add_clause([1])
@@ -63,7 +56,7 @@ def test_unit_propagation_chain():
     f.add_clause([-3, 4])
     s = SatSolver(f)
     assert s.solve() == SolveStatus.SAT
-    assert s.model == (True, True, True, True)
+    assert trail_model(s) == (True, True, True, True)
     assert s.decisions == 0  # pure propagation
 
 
@@ -72,7 +65,8 @@ def test_false_first_polarity(enzyme):
     formula, varmap = encode_siphon(enzyme)
     s = SatSolver(formula)
     assert s.solve() == SolveStatus.SAT
-    assert {enzyme.places[varmap.order[i]] for i, x in enumerate(s.model) if x} == {"A", "AE"}
+    model = trail_model(s)
+    assert {enzyme.places[varmap.order[i]] for i, x in enumerate(model) if x} == {"A", "AE"}
 
 
 def test_pigeonhole_unsat():
@@ -85,22 +79,6 @@ def test_pigeonhole_unsat():
             for p2 in range(p1 + 1, 3):
                 f.add_clause([-(2 * p1 + h + 1), -(2 * p2 + h + 1)])
     assert SatSolver(f).solve() == SolveStatus.UNSAT
-
-
-def test_assumptions():
-    f = CnfFormula(2)
-    f.add_clause([1, 2])
-    s = SatSolver(f)
-    assert s.solve(assumptions=[-1]) == SolveStatus.SAT
-    assert s.model[1] is True
-    assert s.solve(assumptions=[-1, -2]) == SolveStatus.UNSAT
-    # solver stays usable after an assumption mismatch
-    assert s.solve() == SolveStatus.SAT
-    # x with -x is UNSAT before the trail moves or a conflict counts
-    before = list(s.trail), s.decisions, s.conflicts
-    assert s.solve(assumptions=[2, 1, -2]) == SolveStatus.UNSAT
-    assert s.model is None and (list(s.trail), s.decisions, s.conflicts) == before
-    assert s.solve(assumptions=[2, 2, -1]) == SolveStatus.SAT and s.model == (False, True)
 
 
 def test_incremental_clause_addition():
@@ -124,49 +102,49 @@ def test_conflict_budget_reports_unknown():
     assert status == SolveStatus.UNKNOWN
 
 
+def test_a_solve_cut_by_its_budget_resumes_to_a_fresh_solvers_answer():
+    # A solve cut to UNKNOWN keeps its trail and learned clauses, and the
+    # next solve resumes from there: without a budget it must return the
+    # status and least model of a fresh solver over the same formula.
+    rng = random.Random(13)
+    cut = kept = sat = 0
+    for _ in range(150):
+        num_vars = rng.randint(10, 20)
+        f = CnfFormula(num_vars)
+        for _ in range(round(rng.uniform(3.5, 5.0) * num_vars)):
+            vs = rng.sample(range(1, num_vars + 1), 3)
+            f.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+        s = SatSolver(f)
+        if s.solve(budget=Budget(max_conflicts=rng.randint(1, 5))) is not SolveStatus.UNKNOWN:
+            continue
+        cut += 1
+        kept += s.decision_level > 0
+        fresh = SatSolver(f)
+        status = s.solve()
+        assert status == fresh.solve()
+        if status is SolveStatus.SAT:
+            assert trail_model(s) == trail_model(fresh)
+            sat += 1
+    assert cut > 50 and kept > 50 and 10 < sat < cut - 10
+
+
 def test_solver_matches_brute_force():
     rng = random.Random(0)
     for _ in range(300):
         f = random_formula(rng, rng.randint(1, 8), rng.randint(1, 24))
         got = SatSolver(f).solve()
-        want = brute_force_status(f)
+        want = SolveStatus.SAT if models_of(f) else SolveStatus.UNSAT
         assert got == want
         if got == SolveStatus.SAT:
             s = SatSolver(f)
             s.solve()
-            assert evaluate(f, s.model)
-
-
-def test_assumptions_match_brute_force_across_rounds():
-    # one solver per formula, reused over rounds of add_clause and solve, so
-    # clauses learned under one call's assumptions take part in later calls
-    rng = random.Random(3)
-    conflicts = 0
-    for _ in range(80):
-        num_vars = rng.randint(1, 8)
-        f = random_formula(rng, num_vars, rng.randint(1, 16))
-        s = SatSolver(f)
-        for _ in range(5):
-            assumptions = [v if rng.random() < 0.5 else -v
-                           for v in rng.choices(range(1, num_vars + 1), k=rng.randint(0, num_vars))]
-            got = s.solve(assumptions=assumptions)
-            assert got == brute_force_status(f, assumptions)
-            assert_clauses_implied(s, models_of(f))
-            if got == SolveStatus.SAT:
-                assert evaluate(f, s.model)
-                assert all(s.model[abs(a) - 1] == (a > 0) for a in assumptions)
-            clause = [v if rng.random() < 0.5 else -v
-                      for v in rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))]
-            f.add_clause(clause)
-            s.add_clause(clause)
-        conflicts += s.conflicts
-    assert conflicts > 0
+            assert evaluate(f, trail_model(s))
 
 
 def test_learned_clauses_are_implied_on_dense_formulas():
-    # 3-CNF above the satisfiability threshold, solved under assumptions,
-    # conflicts over several decision levels, so learned-clause minimization
-    # has reason clauses to drop literals through
+    # 3-CNF above the satisfiability threshold, solved over rounds of
+    # add_clause, so the conflicts span several decision levels and
+    # learned-clause minimization has reason clauses to drop literals through
     rng = random.Random(1)
     conflicts = 0
     for _ in range(300):
@@ -174,24 +152,25 @@ def test_learned_clauses_are_implied_on_dense_formulas():
         for _ in range(34):
             vs = rng.sample(range(1, 9), 3)
             f.add_clause([v if rng.random() < 0.5 else -v for v in vs])
-        models = models_of(f)
         s = SatSolver(f)
         for _ in range(5):
-            assumptions = [v if rng.random() < 0.5 else -v
-                           for v in rng.sample(range(1, 9), rng.randint(0, 4))]
-            sat = any(all(bits[abs(a) - 1] == (a > 0) for a in assumptions) for bits in models)
-            assert s.solve(assumptions=assumptions) == (SolveStatus.SAT if sat else SolveStatus.UNSAT)
+            models = models_of(f)
+            assert s.solve() == (SolveStatus.SAT if models else SolveStatus.UNSAT)
             assert_clauses_implied(s, models)
+            if not models:
+                break
+            clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 3)]
+            f.add_clause(clause)
+            s.add_clause(clause)
         conflicts += s.conflicts
     assert conflicts > 1000
 
 
 def test_free_solves_return_the_least_model_across_clause_additions():
-    # A solve without assumptions resumes from the trail that the last call
-    # left, and a clause falsified by the current assignment backjumps only
-    # to its assertion level. Whatever the mix of calls, a free solve must
-    # still return the least model of every clause so far, in
-    # product((False, True), ...) order.
+    # A solve resumes from the trail that the last call left, and a clause
+    # falsified by the current assignment backjumps only to its assertion
+    # level. Whatever the mix of calls, a solve must still return the least
+    # model of every clause so far, in product((False, True), ...) order.
     rng = random.Random(7)
     asserted = tied = 0
     for _ in range(600):
@@ -199,8 +178,9 @@ def test_free_solves_return_the_least_model_across_clause_additions():
         f = random_formula(rng, num_vars, rng.randint(1, 2 * num_vars))
         s = SatSolver(f)
         models = models_of(f)
+        model = None  # the last solve's
         for _ in range(16):
-            op = rng.choice("solve solve solve assume block block falsified falsified falsified any"
+            op = rng.choice("solve solve solve block block falsified falsified falsified any"
                             .split())
             if op == "falsified" and not s.decision_level:
                 op = "solve"
@@ -208,20 +188,13 @@ def test_free_solves_return_the_least_model_across_clause_additions():
                 status = s.solve()
                 assert status == (SolveStatus.SAT if models else SolveStatus.UNSAT)
                 if models:
-                    assert s.model == models[0]
-            elif op == "assume":
-                assumptions = [v if rng.random() < 0.5 else -v
-                               for v in rng.sample(range(1, num_vars + 1), rng.randint(1, 3))]
-                status = s.solve(assumptions=assumptions)
-                assert status == brute_force_status(f, assumptions)
-                if status == SolveStatus.SAT:
-                    assert s.model in models
-                    assert all(s.model[abs(a) - 1] == (a > 0) for a in assumptions)
+                    model = trail_model(s)
+                    assert model == models[0]
             else:
                 if op == "block":  # the non-superset clause of the last model
-                    if s.model is None or not any(s.model):
+                    if model is None or not any(model):
                         continue
-                    clause = [-v for v in range(1, num_vars + 1) if s.model[v - 1]]
+                    clause = [-v for v in range(1, num_vars + 1) if model[v - 1]]
                 elif op == "falsified":
                     false_lits = [-q for q in s.trail]
                     clause = rng.sample(false_lits, min(rng.randint(2, 3), len(false_lits)))
@@ -351,7 +324,8 @@ def test_enumeration_matches_a_fresh_solve_per_set():
                 solver.add_clause(clause)
             if solver.solve() is SolveStatus.UNSAT:
                 break
-            fresh.append(frozenset(varmap.order[i] for i, x in enumerate(solver.model) if x))
+            model = trail_model(solver)
+            fresh.append(frozenset(varmap.order[i] for i, x in enumerate(model) if x))
             blocking.append(blocking_clause(fresh[-1], varmap))
         assert res.sets == fresh
         assert res.stats.solve_calls == sum(len(s) > 1 for s in res.sets) + 1
