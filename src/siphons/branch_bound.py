@@ -5,13 +5,31 @@ the encoding that the shared driver builds (`encoding.encode_branching`:
 variable k is the k-th place of the structural branching order); every
 decision takes the lowest-index unassigned variable and tries 0 before 1,
 which makes the leftmost solution inclusion-minimal and guarantees that no
-later solution is a subset of an earlier one. On each solution the driver
-reads the set and its permanent non-superset clause off the trail in one
-pass and posts the clause unchecked on the live trail, as for the SAT
-engine: the model falsifies it, so `Propagator._post` backjumps to the
-clause's assertion level and asserts its top literal there. The levels
-below are kept as they are; the path decisions above that level are
-re-decided while their variables are still free, and the search goes on.
+later solution is a subset of an earlier one.
+
+A descent stops as soon as the true variables form a nonempty siphon, not
+when every variable is assigned. Every input clause is ¬p ∨ inputs(t), one
+negative literal, and every blocking clause is all-negative, so from a
+conflict-free fixpoint whose true set S is a siphon, the 0-decisions left
+would only propagate 0s and end at S itself without a conflict: the sets,
+their order and the conflicts are those of the full descent. The test runs
+at every conflict-free fixpoint that leaves a variable unassigned, and
+reads the net's structure off the encoder's `CnfFormula.producers` and
+`inputs`. It keeps the witness of its last failure, a true p and a
+producer of p with no true input: while that holds, the test fails at the
+cost of one producer. Otherwise it goes on through p's producers from the
+witness's, around, and then through the other true variables, newest
+first, skipping the trail prefix that an earlier test found free of true
+variables. It never calls `PetriNet.is_siphon`, which certifies each
+emitted set.
+
+On each solution the driver reads the set and its permanent non-superset
+clause off the trail in one pass and posts the clause unchecked on the
+live trail, as for the SAT engine: the trail's true set falsifies it, so
+`Propagator._post` backjumps to the clause's assertion level and asserts
+its top literal there. The levels below are kept as they are; the path
+decisions above that level are re-decided while their variables are still
+free, and the search goes on.
 
 A failure backjumps instead of backtracking chronologically (conflict-directed
 backjumping: Prosser 1993; Bayardo and Schrag, AAAI 1997). The falsified
@@ -108,8 +126,9 @@ class _Dependencies:
 
 
 def _search(prop: Propagator, clock: BudgetClock, emit):
-    """Yield at each solution of the 0-first search, in order; the driver
-    posts its non-superset clause before the search resumes.
+    """Yield at each solution of the 0-first search, in order: at the first
+    conflict-free fixpoint whose true variables form a nonempty siphon; the
+    driver posts its non-superset clause before the search resumes.
 
     A conflict backjumps to the deepest decision it depends on (see the
     module docstring). After a solution the search resumes at the clause's
@@ -124,6 +143,16 @@ def _search(prop: Propagator, clock: BudgetClock, emit):
     # failure depends on (see _Dependencies.failure).
     stack: list[tuple[int, bool, int]] = []
     deps = _Dependencies(prop)
+    # The siphon test (see the module docstring). `wk` is a true variable
+    # that the last failed test found with a producer, `producers[wk -
+    # 1][wj]`, none of whose inputs is true; `wk` 0 is no witness, as
+    # `assign[0]` is 0. `trail[:clean]` holds no true variable.
+    trail = prop.trail
+    truth = prop.assign.__getitem__
+    producers = prop.formula.producers
+    inputs = prop.formula.inputs
+    num_vars = prop.num_vars
+    wk = wj = clean = 0
 
     def decide(var, value, failure=0):
         stack.append((var, value, failure))
@@ -133,12 +162,41 @@ def _search(prop: Propagator, clock: BudgetClock, emit):
 
     def pop():
         # Undo the deepest level; its masks go with it.
+        nonlocal clean
         entry = stack.pop()
         prop.backtrack()
         deps.valid = min(deps.valid, len(stack))
+        clean = min(clean, len(trail))
         if emit:
             emit(f"B {len(stack)}")
         return entry
+
+    def settled():
+        nonlocal wk, wj, clean
+        if truth(wk) == 1:
+            # The witness's producers, from its producer on, around.
+            ts = producers[wk - 1]
+            n = len(ts)
+            for i in range(wj, wj + n):
+                if 1 not in map(truth, inputs[ts[i % n]]):
+                    wj = i % n
+                    return False
+        # The true variables past `clean`, the newest first.
+        nonempty = False
+        j = len(trail)
+        while j > clean:
+            j -= 1
+            k = trail[j]
+            if k > 0:
+                nonempty = True
+                if k != wk:
+                    for i, t in enumerate(producers[k - 1]):
+                        if 1 not in map(truth, inputs[t]):
+                            wk, wj = k, i
+                            return False
+        if not nonempty:
+            clean = len(trail)
+        return nonempty
 
     consistent = True
     if prop.conflicting:
@@ -183,7 +241,7 @@ def _search(prop: Propagator, clock: BudgetClock, emit):
             if clock.exhausted():
                 break
             consistent = decide(var, True, failure)
-        elif prop.all_assigned():
+        elif len(trail) == num_vars or settled():
             yield
             if prop.conflicting:
                 return  # a root conflict ends the enumeration
@@ -196,6 +254,7 @@ def _search(prop: Propagator, clock: BudgetClock, emit):
             # would only repeat the 0-first rule. So every replayed decision
             # keeps its level, and the failures recorded on them still apply.
             kept = prop.decision_level
+            clean = min(clean, prop.trail_lim[kept - 1] if kept else 0)
             path = stack[kept:]
             del stack[kept:]
             if deps.valid >= kept:
@@ -220,7 +279,9 @@ def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,
     which is a position in the branching order (`branching_order(net)[var
     - 1]` is its place), not a place index. No `B` lines follow an `S`
     line: the depth of the next `D` line gives the level the search resumed
-    at, one above the blocking clause's assertion level. A one-place set is
+    at, one above the blocking clause's assertion level. A run of `D` lines
+    ends at the first fixpoint where the true places form a siphon, which
+    may leave variables unassigned. A one-place set is
     not searched for, so its `S` line has no `D` lines of its own: it comes
     just before the `S` line of the first searched set with a lower least
     place, or after the search ends.

@@ -48,13 +48,22 @@ def check_clause(literals: Iterable[int], num_vars: int) -> list[int] | None:
 
 
 class CnfFormula:
-    """Clause store over variables 1..num_vars, duplicate- and tautology-free."""
+    """Clause store over variables 1..num_vars, duplicate- and tautology-free.
+
+    A formula that the siphon encoders built also keeps the net's structure
+    by variable, which branch-and-bound's siphon test reads: `producers[k -
+    1]` lists the transitions that produce variable k's place, and
+    `inputs[t]` the variables of t's input places, so the clauses
+    ¬k ∨ inputs(t) are read off the two. Any other formula has both None.
+    """
 
     def __init__(self, num_vars: int):
         if type(num_vars) is not int or num_vars < 1:
             raise ValueError("num_vars must be an int >= 1")
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
+        self.producers: list[list[int]] | None = None
+        self.inputs: list[tuple[int, ...]] | None = None
         # The clauses as literal sets, built on the first `add_clause`, so a
         # formula that an encoder fills directly pays for no index.
         self._seen: set[frozenset[int]] | None = None
@@ -214,6 +223,8 @@ def _encode(net: PetriNet, structural: bool) -> tuple[CnfFormula, VarMap]:
     clauses.append(tuple(range(1, n + 1)))
     formula = CnfFormula(n)
     formula.clauses = clauses
+    formula.producers = [producers[p] for p in varmap.order]
+    formula.inputs = input_vars
     return formula, varmap
 
 

@@ -17,18 +17,24 @@ when its other watch is true at a lower level, filed under that true
 literal until it is undone; a root literal never is, so a clause satisfied
 at the root leaves for good, as MiniSat removes such clauses (Een and
 Sorensson, SAT 2003). On a net with many sets, most watch visits would
-otherwise go to blocking clauses satisfied that way.
+otherwise go to blocking clauses satisfied that way. When a watch of the
+non-emptiness clause moves, the scan for its replacement starts after the
+position where the last one stopped and wraps around (circular scanning:
+Gent, JAIR 2013), so a descent that falsifies its literals one by one does
+not walk past the false ones again at every move.
 
 `enumerate_sets` is the one enumeration driver: an engine is a store class
 and a generator that only searches. The driver encodes the net, builds the
 engine's store and owns the run's `BudgetClock`; it settles the one-place
-minimal siphons, blocks each set the search finds, maps it back to places,
+minimal siphons, blocks each set the search finds (SAT's full model, or the
+siphon on branch-and-bound's partial trail), maps it back to places,
 certifies it with `accept`, cuts the run between sets and fills in every
 stat. Also here: budgets, stats and results.
 """
 
 import time
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from numbers import Real
 
 from .encoding import CnfFormula, check_clause, encode_branching
@@ -86,9 +92,11 @@ class SearchStats:
     after each set at its blocking clause's assertion level, so `decisions`,
     read off the store, counts only the decisions made after each resume;
     for branch-and-bound that includes the path decisions it re-makes above
-    the assertion level. The SAT engine's `conflicts` are its solver's; the
-    branch-and-bound engine's are falsified clauses (one per failure,
-    however many levels its backjump pops). `propagations`, also read off
+    the assertion level, and ends each descent at the decision after which
+    the true places form a siphon, which may leave variables unassigned.
+    The SAT engine's `conflicts` are its solver's; the branch-and-bound
+    engine's are falsified clauses (one per failure, however many levels
+    its backjump pops). `propagations`, also read off
     the store, counts every literal that unit propagation assigned.
 
     `conflicts` is the count on the run's `BudgetClock`: under
@@ -146,6 +154,23 @@ def accept(net: PetriNet, result: EnumerationResult, s: frozenset[int]) -> None:
     result.sets.append(s)
 
 
+class _Ring:
+    """The replacement positions of the non-emptiness clause, in the order
+    a watch move scans them: from the one after the position where the last
+    scan stopped, around to that position (Gent, JAIR 2013). One cycle over
+    the positions serves every scan, so it resumes where the last one broke
+    off; a scan that finds no replacement takes one full turn."""
+
+    __slots__ = ("positions", "size")
+
+    def __init__(self, end: int):
+        self.positions = cycle(range(2, end))
+        self.size = end - 2
+
+    def __iter__(self):
+        return islice(self.positions, self.size)
+
+
 class Propagator:
     """Watched-literal clause store with unit propagation over a decision trail.
 
@@ -172,6 +197,13 @@ class Propagator:
     it is: its false watch is unassigned only when that level is undone,
     so leaving would save no visit. Input clauses stay too: putting them
     back on every backtrack costs more than it saves.
+    A watch move scans positions 2 on of the clause for a literal that is
+    not false, `spans[ci]`. The encoder appends the non-emptiness clause
+    last, and it is the one input clause whose literals are all positive:
+    when the last input clause is all positive, `spans` holds a `_Ring`
+    for it instead, whose scan starts after the position where the last
+    one stopped and wraps around. `formula` is the formula the store was
+    built from, whose net structure branch-and-bound's siphon test reads.
     Branching takes the lowest-index unassigned variable, found by a cursor
     below which every variable is assigned. `decisions` counts each level
     `_open_level` opens, for a `decide` or a SAT branch, and `propagations`
@@ -189,7 +221,8 @@ class Propagator:
         self.decision_level = 0              # len(self.trail_lim)
         self.qhead = 0
         self.clauses: list[list[int]] = []   # positions 0 and 1 are watched
-        self.spans: list[range] = []         # range(2, len(clause)) per clause
+        self.formula = formula
+        self.spans: list[range | _Ring] = []  # range(2, len(clause)) per clause
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
         self.held: dict[int, list[int]] = {}   # true literal -> clauses filed under it
         self.num_input = 0                   # set once the formula is in
@@ -200,6 +233,8 @@ class Propagator:
         self.decisions = 0
         self._add_root(self._stored(formula.clauses))
         self.num_input = len(self.clauses)
+        if self.clauses and min(self.clauses[-1]) > 0:  # the non-emptiness clause
+            self.spans[-1] = _Ring(len(self.clauses[-1]))
 
     # -- assignment bookkeeping -------------------------------------------
 
@@ -321,8 +356,9 @@ class Propagator:
         return self._add_root((clause,))
 
     def _block_model(self) -> list[int]:
-        """Post the non-superset clause of the full model on the trail and
-        return the model's true variables in ascending order.
+        """Post the non-superset clause of the true variables on the trail
+        and return them in ascending order: SAT's full model, or the siphon
+        at which branch-and-bound stopped with variables still unassigned.
 
         One pass over the trail gives both: the clause is `blocking_clause`
         of the model's set, in the same literal order, which `_post` sorts
@@ -492,16 +528,18 @@ def enumerate_sets(net: PetriNet, store_type: type[Propagator], search, budget: 
     complete. The run's `BudgetClock` starts once the store is built.
 
     `search(store, clock)` is a generator that only searches: it yields
-    each time a full model of the store stands on its trail, counts its
+    each time the true variables on its trail form a nonempty siphon at a
+    conflict-free fixpoint (for SAT, a full model), counts its
     conflicts on `clock` and stops when `clock.exhausted()` after a
-    conflict that does not end the search. The driver reads the model's
-    true variables off the trail and posts its blocking clause
-    (`Propagator._block_model`) before it resumes the search, and maps the
-    variables back to places: variable k is place `varmap.order[k - 1]`. It
-    counts a solve call for the first descent and one for each resume
-    after a set. It asks the clock after each set, unless the store is
-    UNSAT at the root, where the resumed engine ends the run complete. It
-    fills in every stat, the `elapsed_ms` covering the last set.
+    conflict that does not end the search. The driver reads the true
+    variables off the trail, whether or not the rest are assigned, posts
+    their blocking clause (`Propagator._block_model`) before it resumes the
+    search, and maps the variables back to places: variable k is place
+    `varmap.order[k - 1]`. It counts a solve call for the first descent
+    and one for each resume after a set. It asks the clock after each set,
+    unless the store is UNSAT at the root, where the resumed engine ends
+    the run complete. It fills in every stat, the `elapsed_ms` covering the
+    last set.
 
     A place p whose producers all consume p, or that has none, is the
     minimal siphon {p}, and no other minimal siphon contains p: these are

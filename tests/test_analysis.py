@@ -8,7 +8,7 @@ from siphons import (Budget, PetriNet, brute_force_minimal_siphons, brute_force_
                      gen_3sat_reduction, gen_chain, gen_random_3sat, gen_random_net,
                      max_trap_within, siphon_trap_report)
 
-from conftest import example2_net, potato_net, random_net_corpus
+from conftest import random_net_corpus
 
 
 def names(net, sets):

@@ -4,7 +4,7 @@ from siphons import (brute_force_minimal_siphons, brute_force_minimal_traps,
                      check_siphon_emptiness, check_trap_persistence, gen_chain,
                      random_walk, unmarked_places, walk_trace)
 
-from conftest import enzyme_net, random_net_corpus
+from conftest import random_net_corpus
 
 
 def test_walk_is_deterministic(enzyme):

@@ -5,10 +5,14 @@ and a checker of the store it keeps.
 Sorensson, SAT 2003): a `while` over the watch list that swaps the false
 watch to position 1 on every visit, the kept ones included, and takes a
 posted clause whose other watch is true at a lower level off the list,
-filed under that true watch. The kernel in `search.py` must leave the same
-trail, levels, reasons, conflicts, counters, watch lists and held clauses
-after every step; only the order of a clause's two watched literals may
-differ. `assert_store_invariant` checks where each stored clause is listed
+filed under that true watch. A replacement watch is looked for from
+position 2 on, except in the non-emptiness clause, the last input clause
+when all its literals are positive: there the scan starts after the
+position where the last one stopped and wraps around (Gent, JAIR 2013).
+The kernel in `search.py` must leave the same trail, levels, reasons,
+conflicts, counters, watch lists and held clauses after every step; only
+the order of a clause's two watched literals may differ, so every position
+from 2 on is checked, literal by literal. `assert_store_invariant` checks where each stored clause is listed
 or filed.
 """
 
@@ -27,6 +31,9 @@ from siphons.reactions import export_reactions, parse_reactions
 from conftest import enzyme_cascade, random_net_corpus, trail_model
 
 
+RING_SCANS = Counter()  # watch moves in the non-emptiness clause, and those that wrapped
+
+
 def reference_propagate(self):
     assign = self.assign
     clauses = self.clauses
@@ -39,6 +46,9 @@ def reference_propagate(self):
     push = trail.append
     qhead = self.qhead
     start = len(trail)
+    ring = self.num_input - 1
+    if ring < 0 or any(q < 0 for q in clauses[ring]):
+        ring = None
     while qhead < len(trail):
         false_lit = -trail[qhead]
         qhead += 1
@@ -62,11 +72,21 @@ def reference_propagate(self):
                 watchers[j] = ci
                 j += 1
                 continue
-            for k in spans[ci]:
+            if ci == ring:
+                last = getattr(self, "ring_last", 1)
+                positions = [*range(last + 1, len(clause)), *range(2, last + 1)]
+            else:
+                positions = spans[ci]
+            for k in positions:
+                if ci == ring:
+                    self.ring_last = k
                 other = clause[k]
                 if assign[other] != -1:
                     clause[1], clause[k] = clause[k], clause[1]
                     watches[other].append(ci)
+                    if ci == ring:
+                        RING_SCANS["moves"] += 1
+                        RING_SCANS["wrapped"] += k <= last
                     break
             else:
                 watchers[j] = ci
@@ -115,7 +135,8 @@ def assert_store_invariant(prop):
 
 def random_formula(rng):
     # Short and long clauses of mixed sign, and all-negative ones of the
-    # shape a blocking clause has.
+    # shape a blocking clause has; half the formulas end with the clause
+    # over every variable, all positive, as the siphon encoding does.
     num_vars = rng.randint(3, 14)
     clauses = []
     for _ in range(rng.randint(1, 3 * num_vars)):
@@ -125,6 +146,8 @@ def random_formula(rng):
             clauses.append([-v for v in vs])
         else:
             clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    if rng.random() < 0.5:
+        clauses.append(range(1, num_vars + 1))
     formula = CnfFormula(num_vars)
     for clause in clauses:
         formula.add_clause(clause)
@@ -155,6 +178,7 @@ def test_kernel_matches_the_reference_kernel_step_by_step(base):
     # to their assertion level and the caller propagates there, as both
     # engines do after a set.
     reference = type("Reference", (base,), {"_propagate": reference_propagate})
+    RING_SCANS.clear()
     rng = random.Random(19)
     conflicts = resumed = assigned = walks = 0
     for _ in range(320):
@@ -199,6 +223,7 @@ def test_kernel_matches_the_reference_kernel_step_by_step(base):
             conflicts += returned[0] is not None
             assigned += len(real.trail)
     assert walks > 250 and conflicts > 150 and resumed > 150 and assigned > 30_000
+    assert RING_SCANS["moves"] > 100 and RING_SCANS["wrapped"] > 10
 
 
 def test_engines_run_the_same_with_the_reference_kernel(monkeypatch):
