@@ -217,7 +217,8 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
-        if not all(0 <= a < math.inf for a in alphas):  # nan, inf and a negative ratio
+        # nan, a negative ratio and one whose clause count is not finite
+        if not all(0 <= a * args.vars < math.inf for a in alphas):
             raise ValueError
     except ValueError:
         raise ValueError(f"bad alpha list {args.alpha!r}") from None

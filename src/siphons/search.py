@@ -17,14 +17,8 @@ when its other watch is true at a lower level, filed under that true
 literal until it is undone; a root literal never is, so a clause satisfied
 at the root leaves for good, as MiniSat removes such clauses (Een and
 Sorensson, SAT 2003). On a net with many sets, most watch visits would
-otherwise go to blocking clauses satisfied that way. When a watch of the
-non-emptiness clause moves, the scan for its replacement starts after the
-position where the last one stopped and wraps around (circular scanning:
-Gent, JAIR 2013), so a descent that falsifies its literals one by one does
-not walk past the false ones again at every move. Every other input clause
-scans from position 2, as in MiniSat. A posted clause first tests the one
-position after its last replacement, and scans from position 2 only if that
-literal is false (see `Propagator`).
+otherwise go to blocking clauses satisfied that way. Each clause's watch
+moves scan its replacement positions in its own order (see `Propagator`).
 
 `enumerate_sets` is the one enumeration driver: an engine is a store class
 and a generator that only searches. The driver encodes the net, builds the
@@ -176,25 +170,6 @@ class _Ring:
         return islice(self.positions, self.size)
 
 
-class _Probe(list):
-    """The scan state of a posted clause of three or more literals, kept as
-    its span: `position`, where its next watch move looks first (the one
-    after its last replacement, or 2), and `scan`, its positions 2 on. As a
-    list it is empty, so the scan loop shared with the input clauses runs
-    no step over it, and false, which sends the clause to the probe."""
-
-    __slots__ = ("position", "scan")
-
-    def __init__(self, end: int):
-        self.position = 2
-        self.scan = range(2, end)
-
-
-# The span of a two-literal clause: like range(2, 2) it yields nothing, but
-# it is true, so it is not taken for a `_Probe`.
-_NO_POSITIONS = iter(())
-
-
 class Propagator:
     """Watched-literal clause store with unit propagation over a decision trail.
 
@@ -221,29 +196,21 @@ class Propagator:
     it is: its false watch is unassigned only when that level is undone,
     so leaving would save no visit. Input clauses stay too: putting them
     back on every backtrack costs more than it saves.
-    A watch move looks for a literal that is not false among the clause's
-    positions 2 on, in the order `spans[ci]` gives. An input clause scans
-    them from position 2, as MiniSat does. The encoder appends the
-    non-emptiness clause last, and it is the one input clause whose
-    literals are all positive: when the last input clause is all positive,
-    `spans` holds a `_Ring` for it instead, whose scan starts after the
-    position where the last one stopped and wraps around. A posted clause
-    of three or more literals holds a `_Probe`: it first tests the one
-    position after its last replacement, and scans from position 2 only if
-    that literal is false. On `gen_chain(10)`, whose store ends with 1,024
-    blocking clauses beside 21 input clauses, that position holds a
-    replacement in 9,085 of SAT's 11,312 probes and 7,172 of bb's 8,452,
-    and the positions the posted clauses test, as the reference kernel in
-    `tests/test_propagate.py` counts them, fall from 92,422 to 20,978
-    under SAT and from 103,428 to 17,412 under bb. They do not scan
-    circularly: the alpha=4.26 reduction's blocking clauses are long and
-    overlap, the tail past the last replacement is mostly false, and
-    circular scanning raised bb's scan steps over the nine n=50
-    `reduction` nets from 402,797 to 572,820. A two-literal clause has no
-    position to scan. `num_input` is `sys.maxsize` while the formula's
-    clauses go in, so none of them is taken for a posted one. `formula` is
-    the formula the store was built from, whose net structure
-    branch-and-bound's siphon test reads.
+    A watch move takes the first literal that is not false among the
+    positions `spans[ci]` lists, by one of three rules:
+    - an input clause scans from position 2, as MiniSat does;
+    - the non-emptiness clause, which the encoder appends last and the one
+      input clause whose literals are all positive, scans circularly: its
+      `_Ring` starts after the position where the last scan stopped and
+      wraps around;
+    - a posted clause of three or more literals has a list: its probe
+      position, then positions 2 on. The probe is the position after its
+      last replacement, or 2 after a move to its last position, so a false
+      probe falls through to the scan from position 2.
+    A two-literal clause has no position to scan. `num_input` is
+    `sys.maxsize` while the formula's clauses go in, so none of them is
+    taken for a posted one. `formula` is the formula the store was built
+    from, whose net structure branch-and-bound's siphon test reads.
     Branching takes the lowest-index unassigned variable, found by a cursor
     below which every variable is assigned. `decisions` counts each level
     `_open_level` opens, for a `decide` or a SAT branch, and `propagations`
@@ -452,10 +419,8 @@ class Propagator:
         for clause in clauses:
             ci += 1
             stored.append(clause)
-            if posted:
-                spans.append(_Probe(len(clause)) if len(clause) > 2 else _NO_POSITIONS)
-            else:
-                spans.append(range(2, len(clause)) or _NO_POSITIONS)
+            n = len(clause)
+            spans.append([2, *range(2, n)] if posted and n > 2 else range(2, n))
             watches[clause[0]].append(ci)
             watches[clause[1]].append(ci)
         return ci
@@ -475,12 +440,10 @@ class Propagator:
         # true watch is from a lower level leaves the list instead (see the
         # class docstring): it is filed under that watch and counts as
         # moved. A conflict drops the `moved` entries behind `j` and keeps
-        # the unvisited tail. A posted clause of three or more literals has
-        # a `_Probe` span, empty, so its scan loop runs out at once and its
-        # false span sends it to the probe: the position after its last
-        # replacement, then positions 2 on if that literal is false. An input
-        # clause's scan is the same as before; only a scan that finds no
-        # replacement, a unit or a conflict, pays the truth test.
+        # the unvisited tail. A watch move scans `spans[ci]` (see the class
+        # docstring) and a posted clause's move sets its probe, `span[0]`;
+        # only a scan that finds no replacement, a unit or a conflict, pays
+        # the truth test.
         assign = self.assign
         clauses = self.clauses
         spans = self.spans
@@ -516,34 +479,19 @@ class Propagator:
                     continue
                 clause[0] = first
                 clause[1] = false_lit
-                for k in spans[ci]:
+                span = spans[ci]
+                for k in span:
                     other = clause[k]
                     if assign[other] != -1:
                         clause[1] = other
                         clause[k] = false_lit
                         watches[other].append(ci)
                         moved += 1
+                        if ci >= num_input:
+                            k += 1
+                            span[0] = k if k < len(clause) else 2
                         break
                 else:
-                    if not spans[ci]:  # a `_Probe`
-                        probe = spans[ci]
-                        k = probe.position
-                        other = clause[k]
-                        if assign[other] == -1:
-                            for k in probe.scan:
-                                other = clause[k]
-                                if assign[other] != -1:
-                                    break
-                            else:
-                                k = 0
-                        if k:
-                            clause[1] = other
-                            clause[k] = false_lit
-                            watches[other].append(ci)
-                            moved += 1
-                            k += 1
-                            probe.position = k if k < len(clause) else 2
-                            continue
                     watchers[j] = ci
                     j += 1
                     if a == 0:  # `_enqueue`, inlined

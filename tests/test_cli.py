@@ -184,7 +184,7 @@ def test_exit_codes(models_dir, tmp_path):
     assert run(["analyze"])[0] == 1
     assert run(["nonsense"])[0] == 1
     assert run(["--help"])[0] == 0
-    for alpha in ("inf", "nan", "-1"):  # not a clause/variable ratio
+    for alpha in ("inf", "nan", "-1", "1e308"):  # no finite clause count
         code, _, err = run(["sweep", "--alpha", alpha, "--trials", "1"])
         assert code == 1 and err.splitlines() == [f"error: bad alpha list {alpha!r}"]
     code, _, err = run(["sweep", "--alpha", ",", "--trials", "1"])  # a list of no ratio
@@ -268,7 +268,7 @@ def test_sweep_csv(tmp_path):
     code, _, _ = run(["sweep", "--vars", "8", "--alpha", "0,2", "--trials", "2",
                       "--timeout", "500", "--seed", "3", "--out", str(out_file)])
     assert code == 0
-    rows = list(csv.DictReader(out_file.open()))
+    rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
     assert [r["alpha"] for r in rows] == ["0.0", "2.0"]
     for row in rows:
         assert row["places"] == str(4 * 8 + 1)
@@ -285,7 +285,7 @@ def test_sweep_deterministic(tmp_path):
                           "--timeout", "500", "--seed", "5", "--out", str(path)])
         assert code == 0
     col = lambda p: [(r["alpha"], r["vars"], r["clauses"], r["siphon_count"])
-                     for r in csv.DictReader(p.open())]
+                     for r in csv.DictReader(io.StringIO(p.read_text()))]
     assert col(a) == col(b)
 
 
