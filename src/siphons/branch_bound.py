@@ -26,8 +26,8 @@ emitted set.
 On each solution the driver reads the set and its permanent non-superset
 clause off the trail in one pass and posts the clause unchecked on the
 live trail, as for the SAT engine: the trail's true set falsifies it, so
-`Propagator._post` backjumps to the clause's assertion level and asserts
-its top literal there. The levels below are kept as they are; the path
+`Propagator._post_falsified` backjumps to the clause's assertion level
+and asserts its top literal there. The levels below are kept as they are; the path
 decisions above that level are re-decided while their variables are still
 free, and the search goes on.
 

@@ -27,6 +27,7 @@ from .search import Budget
 
 DEFAULT_TIMEOUT_MS = 2000.0
 SWEEP_ALPHAS = "0,1,2,3,4,4.2,4.4,4.6,5,6,8,10"
+MAX_SWEEP_CLAUSES = 100_000  # bound on alpha * --vars, the 3-SAT clause count
 FORMATS = {".rxn": "rxn", ".pnml": "pnml", ".xml": "pnml"}  # model file suffix -> format
 ANALYZE_COLUMNS = ("model", "target", "engine", "places", "transitions", "count",
                    "size_min", "size_max", "size_avg", "elapsed_ms", "timed_out")
@@ -217,8 +218,8 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
-        # nan, a negative ratio and one whose clause count is not finite
-        if not all(0 <= a * args.vars < math.inf for a in alphas):
+        # nan, a negative ratio and one whose clause count is past the bound
+        if not all(0 <= a * args.vars <= MAX_SWEEP_CLAUSES for a in alphas):
             raise ValueError
     except ValueError:
         raise ValueError(f"bad alpha list {args.alpha!r}") from None
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="hardness sweep over random 3-SAT reductions")
     sweep.add_argument("--vars", type=_int_at_least(3), default=50)
     sweep.add_argument("--alpha", default=SWEEP_ALPHAS,
-                       help="comma-separated clause/variable ratios")
+                       help="comma-separated clause/variable ratios, each with "
+                            f"alpha * --vars at most {MAX_SWEEP_CLAUSES}")
     sweep.add_argument("--trials", type=_int_at_least(1), default=5)
     sweep.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_MS, metavar="MS")
     sweep.add_argument("--engine", choices=["sat", "bb"], default="sat")

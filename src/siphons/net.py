@@ -187,8 +187,8 @@ class PetriNet:
         s = self._check_set(s)
         if not s:
             return False
-        pre = frozenset().union(*(self._pre_transitions[p] for p in s))
-        post = frozenset().union(*(self._post_transitions[p] for p in s))
+        pre = frozenset().union(*map(self._pre_transitions.__getitem__, s))
+        post = frozenset().union(*map(self._post_transitions.__getitem__, s))
         return holds(pre, post)
 
     def dual(self) -> "PetriNet":

@@ -2,10 +2,13 @@
 
 The solver is a small CDCL on the shared watched-literal `Propagator`
 (`search.py`, also under branch-and-bound): first-UIP conflict learning,
-each learned clause posted unchecked through `Propagator._post`, which
-backjumps; a solve never starts over and never deletes a clause.
-Branching is the shared fixed rule: the lowest-index unassigned
-variable, False before True. The shared driver encodes the net through
+each learned clause posted unchecked through
+`Propagator._post_falsified`, which backjumps; a solve never starts over
+and never deletes a clause. Branching is the shared fixed rule: the
+lowest-index unassigned variable, False before True, made inside the
+propagation kernel, whose descend mode opens each 0-first level at a
+conflict-free fixpoint, as MiniSat's search loop does (Een and Sorensson,
+SAT 2003). The shared driver encodes the net through
 `encoding.encode_branching` and builds the solver over it, so variable k
 is the k-th place of the structural branching order, not of the model
 file's place list.
@@ -71,8 +74,8 @@ class SatSolver(Propagator):
     true literal. The formula's clauses go in through the store's one root
     intake, as `Propagator`'s do, reordered highest variable first by
     `_stored`. A clause added between calls goes through `add_clause`,
-    which checks it; a learned clause is built in range and duplicate-free,
-    so `solve` posts it through `_post` unchecked.
+    which checks it; a learned clause is falsified by construction, so
+    `solve` posts it through `_post_falsified` unchecked.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -88,11 +91,12 @@ class SatSolver(Propagator):
     # -- conflict analysis ----------------------------------------------------
 
     def _analyze(self, confl: int) -> list[int]:
-        """The minimized first-UIP clause learned from conflict `confl`.
+        """The minimized first-UIP clause learned from conflict `confl`, as
+        the trail literals it negates, for `_post_falsified`.
 
-        The asserting literal comes first, the rest in the order analysis
-        met them; `_post` sorts them by decreasing level, backjumps to the
-        level of the second and asserts the first there.
+        The UIP comes first, the rest in the order analysis met them;
+        `_post_falsified` sorts them by decreasing level, backjumps to the
+        level of the second and asserts the negated first there.
         """
         # Every literal q met in a conflict or reason clause other than the
         # implied one is false, so its variable's entries sit at index -q.
@@ -118,7 +122,7 @@ class SatSolver(Propagator):
                     if level[-q] >= cur_level:
                         counter += 1
                     else:
-                        learned.append(q)
+                        learned.append(-q)
             while not seen[trail[idx]]:
                 idx -= 1
             p = trail[idx]
@@ -129,20 +133,19 @@ class SatSolver(Propagator):
             clause = clauses[reason[p]]
         # Local minimization: a literal goes if every other literal of its
         # reason clause is in the learned clause or fixed at level 0.
-        kept = []
-        for q in learned:
-            r = reason[-q]
+        kept = [p]
+        for t in learned:
+            r = reason[t]
             if r is not None:
                 for x in clauses[r]:
-                    if x != -q and not seen[-x] and level[-x] > 0:
+                    if x != t and not seen[-x] and level[-x] > 0:
                         break
                 else:
                     continue
-            kept.append(q)
-        learned = kept
+            kept.append(t)
         for t in touched:
             seen[t] = False
-        return [-p] + learned
+        return kept
 
     # -- main search ----------------------------------------------------------
 
@@ -161,6 +164,10 @@ class SatSolver(Propagator):
         the answer is still the least model of the clause store. After SAT
         the model stands on the trail, and `value(v)` reads it.
 
+        The 0-first descent runs inside `_propagate(True)`, which returns
+        only on a conflict or a full trail, so this loop only handles
+        conflicts: it learns, backjumps and asks the budget.
+
         `assumptions` must be empty: the keyword stays only because
         `perfbench/tracing.py` passes `assumptions=()` on every call, and
         the benchmark change (ROADMAP item 1) removes it.
@@ -170,23 +177,19 @@ class SatSolver(Propagator):
         if self.conflicting:
             return SolveStatus.UNSAT
         clock = budget if isinstance(budget, BudgetClock) else BudgetClock(budget)
-        while True:
-            confl = self._propagate()
-            # `conflicting` is set here only by a learned unit that
-            # `_post` refuted at the root.
-            if confl is not None or self.conflicting:
-                self.conflicts += 1
-                clock.conflicts += 1
-                if not self.decision_level:
-                    self.conflicting = True
-                    return SolveStatus.UNSAT
-                self._post(self._analyze(confl))
-                if clock.exhausted():
-                    return SolveStatus.UNKNOWN
-            elif self.all_assigned():
-                return SolveStatus.SAT
-            else:
-                self._open_level(-self._pick_branch())
+        # The kernel descends until a conflict or a full trail. `conflicting`
+        # is set here only by a learned unit refuted at the root, which
+        # counts as the conflict that ends the search.
+        while self.conflicting or (confl := self._propagate(True)) is not None:
+            self.conflicts += 1
+            clock.conflicts += 1
+            if not self.decision_level:
+                self.conflicting = True
+                return SolveStatus.UNSAT
+            self._post_falsified(self._analyze(confl))
+            if clock.exhausted():
+                return SolveStatus.UNKNOWN
+        return SolveStatus.SAT
 
 
 def _search(solver: SatSolver, clock: BudgetClock):

@@ -6,10 +6,10 @@ branch-and-bound drives it through `decide`/`backtrack` and reads the
 falsified clause for backjumping, and the SAT solver subclasses it with
 conflict learning. A caller's clause goes in through `add_clause`, which
 checks it. A blocking clause is read off the trail with the set it blocks
-(`_block_model`) and posted unchecked through `_post`, as the SAT solver
-posts its learned clauses; `_post` resumes the search at the clause's
-assertion level. Every other clause enters by the one root intake,
-`_add_root`.
+(`_block_model`) and, like the SAT solver's learned clauses, goes in by
+the intake of clauses the trail falsifies, `_post_falsified`, without a
+re-check; it resumes the search at the clause's assertion level. Every
+other clause enters by the one root intake, `_add_root`.
 Truth values, levels, reasons and watch lists are indexed by literal, as in
 MiniSat, so reading one takes no sign arithmetic. A clause posted after the
 formula's own, blocking or learned, leaves the watch list of a false watch
@@ -212,9 +212,13 @@ class Propagator:
     taken for a posted one. `formula` is the formula the store was built
     from, whose net structure branch-and-bound's siphon test reads.
     Branching takes the lowest-index unassigned variable, found by a cursor
-    below which every variable is assigned. `decisions` counts each level
-    `_open_level` opens, for a `decide` or a SAT branch, and `propagations`
-    each literal `_propagate` assigns.
+    below which every variable is assigned. Branch-and-bound opens each
+    level through `decide`, with the variable and value it picks. The SAT
+    solver's 0-first descent runs inside the kernel: `_propagate(True)`
+    opens the next level itself at each conflict-free fixpoint, assigning
+    the cursor's variable False, until a conflict or a full trail.
+    `decisions` counts each level opened either way, and `propagations`
+    each literal that unit propagation assigns.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -255,9 +259,6 @@ class Propagator:
     def num_assigned(self) -> int:
         return len(self.trail)
 
-    def all_assigned(self) -> bool:
-        return len(self.trail) == self.num_vars
-
     def _enqueue(self, lit: int, reason: int | None) -> None:
         """Assign lit true at the current level, forced by clause `reason`."""
         self.assign[lit] = 1
@@ -265,13 +266,6 @@ class Propagator:
         self.level[lit] = self.decision_level
         self.reason[lit] = reason
         self.trail.append(lit)
-
-    def _open_level(self, lit: int) -> None:
-        """Count a decision, open its level and assign lit true there."""
-        self.decisions += 1
-        self.trail_lim.append(len(self.trail))
-        self.decision_level += 1
-        self._enqueue(lit, None)
 
     def _cancel_until(self, target: int) -> None:
         """Unassign every decision level above `target`, in trail order, and
@@ -320,47 +314,49 @@ class Propagator:
         """Add a permanent clause; returns False once the store is UNSAT at the root.
 
         The literals are checked by `check_clause` before the store changes:
-        a bad one raises ValueError, and a tautology changes nothing. The
-        clause then goes in through `_post`, as the SAT solver's learned
-        clauses and the blocking clauses of `_block_model` do.
+        a bad one raises ValueError, and a tautology changes nothing. A
+        clause that the current assignment falsifies goes in through
+        `_post_falsified`, as the SAT solver's learned clauses and the
+        blocking clauses of `_block_model` do; any other clause goes in by
+        `_add_root`, with the search state unwound first.
         """
         clause = check_clause(literals, self.num_vars)
         if clause is None:
             return not self.conflicting
-        return self._post(clause)
+        if self.decision_level:
+            if all(self.assign[q] == -1 for q in clause):
+                return self._post_falsified([-q for q in clause])
+            self._cancel_until(0)
+        return self._add_root((clause,))
 
-    def _post(self, clause: list[int]) -> bool:
-        """Post a duplicate-free clause in range; False once the store is UNSAT.
+    def _post_falsified(self, true: list[int]) -> bool:
+        """Post the clause of the negations of `true`, duplicate-free
+        literals that are all true on the trail; False once the store is
+        UNSAT. Nothing is re-checked: every clause the SAT solver learns and
+        every blocking clause against the model just found is falsified by
+        construction.
 
-        A clause that the current assignment falsifies, as every clause the
-        SAT solver learns and every blocking clause against the model just
-        found is, goes in as CDCL learning needs: its literals fixed at
+        The clause goes in as CDCL learning needs: its literals fixed at
         level 0 are dropped, the rest are sorted stably by decreasing
         level, and the search backjumps only as far as it must. If the top
         level is unique, it backjumps to the second-highest level and
         asserts the top literal there, which the caller propagates; if two
         literals share the top level, it backjumps to the level below and
-        attaches. A clause with at most one literal above level 0, and any
-        other clause, goes in by `_add_root` with the search state unwound
-        first.
+        attaches. A clause with at most one literal above level 0 goes in
+        by `_add_root` with the search state unwound first.
         """
-        if self.decision_level:
-            assign = self.assign
-            if all(assign[q] == -1 for q in clause):
-                level = self.level
-                live = sorted([q for q in clause if level[-q]],
-                              key=lambda q: level[-q], reverse=True)
-                if len(live) >= 2:
-                    top, second = level[-live[0]], level[-live[1]]
-                    if top != second:
-                        self._cancel_until(second)
-                        self._enqueue(live[0], self._attach((live,)))
-                    else:
-                        self._cancel_until(top - 1)
-                        self._attach((live,))
-                    return True
+        level = self.level
+        live = sorted([p for p in true if level[p]], key=level.__getitem__, reverse=True)
+        clause = [-p for p in live]
+        if len(clause) < 2:
             self._cancel_until(0)
-        return self._add_root((clause,))
+            return self._add_root((clause,))
+        top, second = level[live[0]], level[live[1]]
+        self._cancel_until(min(second, top - 1))
+        ci = self._attach((clause,))
+        if top != second:
+            self._enqueue(clause[0], ci)
+        return True
 
     def _block_model(self) -> list[int]:
         """Post the non-superset clause of the true variables on the trail
@@ -368,12 +364,12 @@ class Propagator:
         at which branch-and-bound stopped with variables still unassigned.
 
         One pass over the trail gives both: the clause is `blocking_clause`
-        of the model's set, in the same literal order, which `_post` sorts
-        stably by level. It is built in range and duplicate-free, so it
-        goes in unchecked.
+        of the model's set, in the same literal order, which
+        `_post_falsified` sorts stably by level. The trail falsifies it, so
+        it goes in unchecked.
         """
         true = sorted([q for q in self.trail if q > 0])
-        self._post([-v for v in true])
+        self._post_falsified(true)
         return true
 
     def _add_root(self, clauses) -> bool:
@@ -427,8 +423,13 @@ class Propagator:
 
     # -- unit propagation ---------------------------------------------------
 
-    def _propagate(self) -> int | None:
-        """Propagate to fixpoint; returns a falsified clause index or None."""
+    def _propagate(self, descend: bool = False) -> int | None:
+        """Propagate to fixpoint; returns a falsified clause index or None.
+
+        With `descend`, each conflict-free fixpoint opens the next 0-first
+        level (see the class docstring), and the call returns None only
+        once every variable is assigned.
+        """
         # Attributes are read into locals once per call: this loop runs on
         # instances of two classes, so attribute lookups on self miss the
         # interpreter's per-type caches whenever the engines alternate.
@@ -456,56 +457,75 @@ class Propagator:
         num_input = self.num_input
         qhead = self.qhead
         start = len(trail)
-        while qhead < len(trail):
-            false_lit = -trail[qhead]
-            qhead += 1
-            watchers = watches[false_lit]
-            j = moved = 0
-            for ci in watchers:
-                clause = clauses[ci]
-                first = clause[0]
-                if first == false_lit:
-                    first = clause[1]
-                a = assign[first]
-                if a == 1:
-                    if ci >= num_input and level[first] < depth:
-                        clause[0] = first
-                        clause[1] = false_lit
-                        held.setdefault(first, []).append(ci)
-                        moved += 1
+        while True:
+            while qhead < len(trail):
+                false_lit = -trail[qhead]
+                qhead += 1
+                watchers = watches[false_lit]
+                j = moved = 0
+                for ci in watchers:
+                    clause = clauses[ci]
+                    first = clause[0]
+                    if first == false_lit:
+                        first = clause[1]
+                    a = assign[first]
+                    if a == 1:
+                        if ci >= num_input and level[first] < depth:
+                            clause[0] = first
+                            clause[1] = false_lit
+                            held.setdefault(first, []).append(ci)
+                            moved += 1
+                            continue
+                        watchers[j] = ci
+                        j += 1
                         continue
-                    watchers[j] = ci
-                    j += 1
-                    continue
-                clause[0] = first
-                clause[1] = false_lit
-                span = spans[ci]
-                for k in span:
-                    other = clause[k]
-                    if assign[other] != -1:
-                        clause[1] = other
-                        clause[k] = false_lit
-                        watches[other].append(ci)
-                        moved += 1
-                        if ci >= num_input:
-                            k += 1
-                            span[0] = k if k < len(clause) else 2
-                        break
-                else:
-                    watchers[j] = ci
-                    j += 1
-                    if a == 0:  # `_enqueue`, inlined
-                        assign[first] = 1
-                        assign[-first] = -1
-                        level[first] = depth
-                        reason[first] = ci
-                        trail.append(first)
+                    clause[0] = first
+                    clause[1] = false_lit
+                    span = spans[ci]
+                    for k in span:
+                        other = clause[k]
+                        if assign[other] != -1:
+                            clause[1] = other
+                            clause[k] = false_lit
+                            watches[other].append(ci)
+                            moved += 1
+                            if ci >= num_input:
+                                k += 1
+                                span[0] = k if k < len(clause) else 2
+                            break
                     else:
-                        del watchers[j:j + moved]
-                        self.qhead = len(trail)
-                        self.propagations += len(trail) - start
-                        return ci
-            del watchers[j:]
+                        watchers[j] = ci
+                        j += 1
+                        if a == 0:  # `_enqueue`, inlined
+                            assign[first] = 1
+                            assign[-first] = -1
+                            level[first] = depth
+                            reason[first] = ci
+                            trail.append(first)
+                        else:
+                            del watchers[j:j + moved]
+                            self.qhead = len(trail)
+                            self.propagations += len(trail) - start
+                            return ci
+                del watchers[j:]
+            if not descend or qhead == self.num_vars:
+                break
+            # The next 0-first level, as `decide(_pick_branch(), False)`
+            # would open it; its decision is no propagation.
+            v = self._next_var
+            while assign[v]:
+                v += 1
+            self._next_var = v
+            self.decisions += 1
+            self.trail_lim.append(qhead)
+            depth += 1
+            self.decision_level = depth
+            assign[-v] = 1
+            assign[v] = -1
+            level[-v] = depth
+            reason[-v] = None
+            trail.append(-v)
+            start += 1
         self.qhead = qhead
         self.propagations += qhead - start
         return None
@@ -520,7 +540,10 @@ class Propagator:
             raise ValueError(f"invalid variable {var!r}")
         if self.assign[var]:
             raise ValueError(f"variable {var} is already assigned")
-        self._open_level(var if value else -var)
+        self.decisions += 1
+        self.trail_lim.append(len(self.trail))
+        self.decision_level += 1
+        self._enqueue(var if value else -var, None)
         if self.conflicting:
             self.conflict = None
             return False

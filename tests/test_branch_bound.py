@@ -70,6 +70,40 @@ def test_propagator_root_conflict():
     assert prop.conflicting
 
 
+@pytest.mark.parametrize("engine", [Propagator, SatSolver])
+def test_add_clause_of_a_falsified_clause_backjumps_to_its_assertion_level(engine):
+    # A caller's clause that the trail falsifies goes in as a blocking or
+    # learned clause does: its root-false literal 5 is dropped, the rest
+    # are stored by decreasing level, and the store backjumps only as far
+    # as the clause needs. It is still checked first: a bad literal raises
+    # and leaves the store as it was.
+    f = CnfFormula(6)
+    f.add_clause([-5])
+    f.add_clause([-2, 3])
+    prop = engine(f)
+    for var, value in ((1, True), (2, True), (4, False), (6, True)):
+        assert prop.decide(var, value)
+    assert prop.trail == [-5, 1, 2, 3, -4, 6] and prop.decision_level == 4
+    for bad in (7, 0, True):
+        with pytest.raises(ValueError):
+            prop.add_clause([-3, bad, -6])
+    assert prop.trail == [-5, 1, 2, 3, -4, 6] and prop.decision_level == 4
+    # unique top level 4: back to level 3, where -6 is asserted
+    assert prop.add_clause([-1, 5, 4, -6])
+    ci = len(prop.clauses) - 1
+    assert prop.clauses[ci] == [-6, 4, -1]
+    assert prop.trail == [-5, 1, 2, 3, -4, -6] and prop.decision_level == 3
+    assert prop.level[-6] == 3 and prop.reason[-6] == ci and prop._propagate() is None
+    # two literals at the top level 2: back to level 1, attached, nothing asserted
+    assert prop.add_clause([-3, -1, -2])
+    assert prop.clauses[-1] == [-3, -2, -1]
+    assert prop.trail == [-5, 1] and prop.decision_level == 1
+    # one literal above level 0: unwound to the root, asserted there
+    assert prop.add_clause([5, -1])
+    assert prop.trail == [-5, -1] and prop.decision_level == 0
+    assert prop.level[-1] == 0 and prop.reason[-1] is None
+
+
 def test_decide_on_a_store_unsat_at_the_root_reports_a_conflict():
     # The intake stops at [-1], so [2, 3] is never attached and nothing
     # would propagate -2 to 3: the store must not call the trail [1, -2]

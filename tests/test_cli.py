@@ -187,6 +187,11 @@ def test_exit_codes(models_dir, tmp_path):
     for alpha in ("inf", "nan", "-1", "1e308"):  # no finite clause count
         code, _, err = run(["sweep", "--alpha", alpha, "--trials", "1"])
         assert code == 1 and err.splitlines() == [f"error: bad alpha list {alpha!r}"]
+    # 3e7 clauses ran out of memory: a list past the bound on alpha *
+    # --vars (3e7 or 100,001 clauses here) is refused before any net is built
+    for vars_, alphas in (("3", "1,1e7"), ("4", "25000.25")):
+        code, out, err = run(["sweep", "--vars", vars_, "--alpha", alphas, "--trials", "1"])
+        assert (code, out) == (1, "") and err.splitlines() == [f"error: bad alpha list {alphas!r}"]
     code, _, err = run(["sweep", "--alpha", ",", "--trials", "1"])  # a list of no ratio
     assert code == 1 and err.splitlines() == ["error: need at least one alpha"]
     for timeout in ("nan", "inf", "-1"):  # NaN or -1 would mean no budget at all

@@ -11,9 +11,12 @@ when all its literals are positive: there the scan starts after the
 position where the last one stopped and wraps around (Gent, JAIR 2013). A
 posted clause, blocking or learned, first tests the position after its
 last replacement, if that was not its last position, and scans from
-position 2 on only if that literal is false. The reference keeps its own
-scan state, in a dict on the store, and reads nothing of the kernel's.
-The kernel in `search.py` must leave the same trail, levels, reasons,
+position 2 on only if that literal is false. In descend mode, as SAT's
+solve calls it, each conflict-free fixpoint opens a level that assigns
+the lowest unassigned variable False, found by a scan from variable 1.
+The reference keeps its own scan state, in a dict on the store, and reads
+nothing of the kernel's, its branching cursor included. The kernel in
+`search.py` must leave the same trail, levels, reasons, decisions,
 conflicts, counters, watch lists and held clauses after every step; only
 the order of a clause's two watched literals may differ, so every position
 from 2 on is checked, literal by literal. `assert_store_invariant` checks
@@ -29,7 +32,7 @@ import pytest
 from siphons import (Budget, CnfFormula, Propagator, SatSolver,
                      enumerate_minimal_bb, enumerate_minimal_sat, enumerate_minimal_siphons,
                      enumerate_minimal_traps, gen_3sat_reduction, gen_chain, gen_random_3sat)
-from siphons import branch_bound, sat, search
+from siphons import SolveStatus, branch_bound, sat, search
 from siphons.reactions import export_reactions, parse_reactions
 
 from conftest import enzyme_cascade, random_net_corpus, trail_model
@@ -41,7 +44,7 @@ RING_SCANS = Counter()  # watch moves in the non-emptiness clause, and those tha
 PROBES = Counter()
 
 
-def reference_propagate(self):
+def reference_propagate(self, descend=False):
     assign = self.assign
     clauses = self.clauses
     watches = self.watches
@@ -56,68 +59,83 @@ def reference_propagate(self):
     if not 0 <= ring < len(clauses) or any(q < 0 for q in clauses[ring]):
         ring = None
     probes = vars(self).setdefault("reference_probes", {})  # posted clause -> position
-    while qhead < len(trail):
-        false_lit = -trail[qhead]
-        qhead += 1
-        watchers = watches[false_lit]
-        i = j = 0
-        n_watch = len(watchers)
-        while i < n_watch:
-            ci = watchers[i]
-            i += 1
-            clause = clauses[ci]
-            if clause[0] == false_lit:
-                clause[0], clause[1] = clause[1], clause[0]
-            first = clause[0]
-            a = assign[first]
-            posted = ci >= self.num_input
-            if a == 1:
-                if posted and level[first] < depth:
-                    # A posted clause leaves this list, filed under its true
-                    # watch, which is at position 0.
-                    self.held.setdefault(first, []).append(ci)
+    while True:
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_lit]
+            i = j = 0
+            n_watch = len(watchers)
+            while i < n_watch:
+                ci = watchers[i]
+                i += 1
+                clause = clauses[ci]
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], clause[0]
+                first = clause[0]
+                a = assign[first]
+                posted = ci >= self.num_input
+                if a == 1:
+                    if posted and level[first] < depth:
+                        # A posted clause leaves this list, filed under its true
+                        # watch, which is at position 0.
+                        self.held.setdefault(first, []).append(ci)
+                        continue
+                    watchers[j] = ci
+                    j += 1
                     continue
-                watchers[j] = ci
-                j += 1
-                continue
-            if ci == ring:
-                last = getattr(self, "ring_last", 1)
-                positions = [*range(last + 1, len(clause)), *range(2, last + 1)]
-            else:
-                positions = range(2, len(clause))
-                probe = probes.get(ci) if posted else None
-                if probe is not None:
-                    PROBES["hits" if assign[clause[probe]] != -1 else "fallbacks"] += 1
-                    positions = [probe, *positions]
-            for k in positions:
                 if ci == ring:
-                    self.ring_last = k
-                PROBES["steps"] += posted
-                other = clause[k]
-                if assign[other] != -1:
-                    clause[1], clause[k] = clause[k], clause[1]
-                    watches[other].append(ci)
-                    if ci == ring:
-                        RING_SCANS["moves"] += 1
-                        RING_SCANS["wrapped"] += k <= last
-                    if posted:
-                        probes[ci] = k + 1 if k + 1 < len(clause) else None
-                    break
-            else:
-                watchers[j] = ci
-                j += 1
-                if a == 0:
-                    assign[first] = 1
-                    assign[-first] = -1
-                    level[first] = depth
-                    reason[first] = ci
-                    push(first)
+                    last = getattr(self, "ring_last", 1)
+                    positions = [*range(last + 1, len(clause)), *range(2, last + 1)]
                 else:
-                    del watchers[j:i]
-                    self.qhead = len(trail)
-                    self.propagations += len(trail) - start
-                    return ci
-        del watchers[j:]
+                    positions = range(2, len(clause))
+                    probe = probes.get(ci) if posted else None
+                    if probe is not None:
+                        PROBES["hits" if assign[clause[probe]] != -1 else "fallbacks"] += 1
+                        positions = [probe, *positions]
+                for k in positions:
+                    if ci == ring:
+                        self.ring_last = k
+                    PROBES["steps"] += posted
+                    other = clause[k]
+                    if assign[other] != -1:
+                        clause[1], clause[k] = clause[k], clause[1]
+                        watches[other].append(ci)
+                        if ci == ring:
+                            RING_SCANS["moves"] += 1
+                            RING_SCANS["wrapped"] += k <= last
+                        if posted:
+                            probes[ci] = k + 1 if k + 1 < len(clause) else None
+                        break
+                else:
+                    watchers[j] = ci
+                    j += 1
+                    if a == 0:
+                        assign[first] = 1
+                        assign[-first] = -1
+                        level[first] = depth
+                        reason[first] = ci
+                        push(first)
+                    else:
+                        del watchers[j:i]
+                        self.qhead = len(trail)
+                        self.propagations += len(trail) - start
+                        return ci
+            del watchers[j:]
+        if not descend or len(trail) == self.num_vars:
+            break
+        # A 0-first decision on the lowest unassigned variable, found by a
+        # scan from variable 1: the kernel's cursor is not read.
+        v = next(v for v in range(1, self.num_vars + 1) if not assign[v])
+        self.decisions += 1
+        self.trail_lim.append(len(trail))
+        self.decision_level = depth = depth + 1
+        assign[-v] = 1
+        assign[v] = -1
+        level[-v] = depth
+        reason[-v] = None
+        push(-v)
+        start += 1
     self.qhead = qhead
     self.propagations += qhead - start
     return None
@@ -179,6 +197,7 @@ def assert_same_state(real, ref, returned):
     assert [real.level[q] for q in real.trail] == [ref.level[q] for q in ref.trail]
     assert [real.reason[q] for q in real.trail] == [ref.reason[q] for q in ref.trail]
     assert real.propagations == ref.propagations
+    assert real.decisions == ref.decisions
     assert real.watches == ref.watches
     assert real.held == ref.held
     for a, b in zip(real.clauses, ref.clauses, strict=True):
@@ -243,6 +262,71 @@ def test_kernel_matches_the_reference_kernel_step_by_step(base):
     assert walks > 250 and conflicts > 150 and resumed > 150 and assigned > 30_000
     assert RING_SCANS["moves"] > 100 and RING_SCANS["wrapped"] > 10
     assert PROBES["hits"] > 100 and PROBES["fallbacks"] > 100
+
+
+def recording(base):
+    """`base` with every kernel call recorded, with what it returned and the
+    state it left: the trail with its levels and reasons, the decision
+    levels, the counters, the watch lists, the held clauses and the stored
+    clauses (their two watched literals in either order)."""
+
+    class Recording(base):
+        def _propagate(self, descend=False):
+            returned = super()._propagate(descend)
+            trail = self.trail
+            vars(self).setdefault("calls", []).append((
+                descend, returned, list(trail), list(self.trail_lim), self.qhead,
+                [self.level[q] for q in trail], [self.reason[q] for q in trail],
+                self.decisions, self.propagations, [list(w) for w in self.watches],
+                {lit: list(held) for lit, held in self.held.items()},
+                [(sorted(c[:2]), c[2:]) for c in self.clauses]))
+            return returned
+
+    return Recording
+
+
+def test_sat_solves_match_the_reference_kernel_step_by_step():
+    # Random walks of solves on 150 random formulas and 150 random 3-SAT
+    # formulas of 8-20 variables at ratios 2-4.5, on a SatSolver and on one
+    # with the reference kernel, which descends by its own scan for the
+    # lowest unassigned variable. After a SAT answer the model is mostly
+    # blocked, as the driver does after a set; otherwise a random clause is
+    # added. A fifth of the solves are cut by a budget of 1-3 conflicts.
+    # Every kernel call, the descents of `solve` and the root intake's calls
+    # alike, must leave the same state on both stores.
+    real_type = recording(SatSolver)
+    ref_type = recording(type("Reference", (SatSolver,), {"_propagate": reference_propagate}))
+    rng = random.Random(23)
+    statuses = Counter()
+    conflicts = resumed = 0
+    for k in range(150):
+        n = rng.randint(8, 20)
+        for formula in (random_formula(rng),
+                        gen_random_3sat(n, round(rng.uniform(2, 4.5) * n), seed=k).to_formula()):
+            real, ref = real_type(formula), ref_type(formula)
+            for _ in range(30):
+                budget = Budget(max_conflicts=rng.randint(1, 3)) if rng.random() < 0.2 else None
+                resumed += real.decision_level > 0
+                status = real.solve(budget=budget)
+                assert ref.solve(budget=budget) is status
+                statuses[status] += 1
+                if status is SolveStatus.UNSAT:
+                    break
+                if status is SolveStatus.SAT and rng.random() < 0.7:
+                    assert real._block_model() == ref._block_model()
+                else:
+                    width = rng.randint(1, formula.num_vars)
+                    clause = [v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, formula.num_vars + 1), width)]
+                    assert real.add_clause(clause) == ref.add_clause(clause)
+                for mine, theirs in zip(real.calls, ref.calls, strict=True):
+                    assert mine == theirs
+                real.calls.clear()
+                ref.calls.clear()
+            assert_store_invariant(real)
+            conflicts += real.conflicts
+    assert statuses[SolveStatus.SAT] > 1000 and statuses[SolveStatus.UNKNOWN] > 60
+    assert statuses[SolveStatus.UNSAT] > 250 and conflicts > 1500 and resumed > 400
 
 
 def test_engines_run_the_same_with_the_reference_kernel(monkeypatch):

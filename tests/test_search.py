@@ -293,11 +293,12 @@ def test_bb_trace_is_pinned(make, siphons_md5, traps_md5):
 @pytest.mark.parametrize("enumerate_", [enumerate_minimal_sat, enumerate_minimal_bb])
 def test_each_posted_blocking_clause_is_blocking_clause(monkeypatch, enumerate_):
     # The engines read a set's variables and its clause off the trail in one
-    # pass and post the clause unchecked; it must be the public
+    # pass and post the clause unchecked, as the negation of the trail
+    # literals `_post_falsified` takes; it must be the public
     # `blocking_clause` of the set under the engines' `VarMap`, literal
-    # order included, as `_post` sorts it stably by level.
-    block, post = Propagator._block_model, Propagator._post
-    inside = []  # the clauses `_post` takes within the current `_block_model`
+    # order included, as `_post_falsified` sorts it stably by level.
+    block, post = Propagator._block_model, Propagator._post_falsified
+    inside = []  # the clauses `_post_falsified` takes within the current `_block_model`
     pairs = []
 
     def block_model(store):
@@ -307,13 +308,13 @@ def test_each_posted_blocking_clause_is_blocking_clause(monkeypatch, enumerate_)
         pairs.append((found, clause))
         return found
 
-    def post_clause(store, clause):
+    def post_falsified(store, true):
         if inside:
-            inside[-1].append(tuple(clause))
-        return post(store, clause)
+            inside[-1].append(tuple(-p for p in true))
+        return post(store, true)
 
     monkeypatch.setattr(Propagator, "_block_model", block_model)
-    monkeypatch.setattr(Propagator, "_post", post_clause)
+    monkeypatch.setattr(Propagator, "_post_falsified", post_falsified)
     for net in random_net_corpus(40, base_seed=7) + [gen_chain(8), red8_rxn()]:
         for target in (net, net.dual()):
             pairs.clear()
