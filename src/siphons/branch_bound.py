@@ -5,7 +5,12 @@ the encoding that the shared driver builds (`encoding.encode_branching`:
 variable k is the k-th place of the structural branching order); every
 decision takes the lowest-index unassigned variable and tries 0 before 1,
 which makes the leftmost solution inclusion-minimal and guarantees that no
-later solution is a subset of an earlier one.
+later solution is a subset of an earlier one. That is the SAT engine's
+branching rule, kept once, in the propagation kernel: each decision goes
+through `Propagator.decide`, whose kernel opens its level in the block
+that opens SAT's 0-first levels, and the variable a 0-branch takes is the
+kernel's cursor `_next_var`, which every conflict-free fixpoint leaves on
+the lowest unassigned variable.
 
 A descent stops as soon as the true variables form a nonempty siphon, not
 when every variable is assigned. Every input clause is ¬p ∨ inputs(t), one
@@ -266,7 +271,7 @@ def _search(prop: Propagator, clock: BudgetClock, emit):
                     break
                 consistent = decide(var, value, recorded)
         else:
-            consistent = decide(prop._pick_branch(), False)
+            consistent = decide(prop._next_var, False)
 
 
 def enumerate_minimal_bb(net: PetriNet, budget: Budget | None = None,

@@ -4,14 +4,16 @@ The solver is a small CDCL on the shared watched-literal `Propagator`
 (`search.py`, also under branch-and-bound): first-UIP conflict learning,
 each learned clause posted unchecked through
 `Propagator._post_falsified`, which backjumps; a solve never starts over
-and never deletes a clause. Branching is the shared fixed rule: the
-lowest-index unassigned variable, False before True, made inside the
-propagation kernel, whose descend mode opens each 0-first level at a
-conflict-free fixpoint, as MiniSat's search loop does (Een and Sorensson,
-SAT 2003). The shared driver encodes the net through
-`encoding.encode_branching` and builds the solver over it, so variable k
-is the k-th place of the structural branching order, not of the model
-file's place list.
+and never deletes a clause. Branching is the fixed rule both engines
+share: the lowest-index unassigned variable, False before True, which the
+propagation kernel's cursor `_next_var` names at each conflict-free
+fixpoint. The solver runs the kernel in descend mode, which opens each
+0-first level itself at such a fixpoint, as MiniSat's search loop does
+(Een and Sorensson, SAT 2003), in the block that also opens each level
+branch-and-bound hands it through `decide`. The shared driver encodes the
+net through `encoding.encode_branching` and builds the solver over it, so
+variable k is the k-th place of the structural branching order, not of
+the model file's place list.
 Each learned clause is minimized (a literal goes when every other literal
 of its reason clause is in the clause or fixed at level 0) and stored with
 the asserting literal first and the rest by decreasing decision level, so

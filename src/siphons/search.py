@@ -211,14 +211,16 @@ class Propagator:
     `sys.maxsize` while the formula's clauses go in, so none of them is
     taken for a posted one. `formula` is the formula the store was built
     from, whose net structure branch-and-bound's siphon test reads.
-    Branching takes the lowest-index unassigned variable, found by a cursor
-    below which every variable is assigned. Branch-and-bound opens each
-    level through `decide`, with the variable and value it picks. The SAT
-    solver's 0-first descent runs inside the kernel: `_propagate(True)`
-    opens the next level itself at each conflict-free fixpoint, assigning
-    the cursor's variable False, until a conflict or a full trail.
-    `decisions` counts each level opened either way, and `propagations`
-    each literal that unit propagation assigns.
+    Every variable below the cursor `_next_var` is assigned, at all times.
+    Both engines branch on the lowest-index unassigned variable, 0 first:
+    the kernel moves the cursor to it at each conflict-free fixpoint that
+    leaves one, and opens every decision level in one block of its loop.
+    Branch-and-bound hands it each decision through `decide`, taking its
+    0-first variable from the cursor; the SAT solver's descent,
+    `_propagate(True)`, opens a level on the cursor's variable, assigned
+    False, at each such fixpoint, until a conflict or a full trail.
+    `decisions` counts the levels opened, and `propagations` each literal
+    that unit propagation assigns, the decisions not included.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -293,15 +295,6 @@ class Propagator:
         del self.trail_lim[target:]
         self.decision_level = target
         self.qhead = head
-
-    def _pick_branch(self) -> int:
-        """The lowest-index unassigned variable; one must exist."""
-        assign = self.assign
-        v = self._next_var
-        while assign[v] != 0:
-            v += 1
-        self._next_var = v
-        return v
 
     # -- clause management ---------------------------------------------------
 
@@ -423,12 +416,16 @@ class Propagator:
 
     # -- unit propagation ---------------------------------------------------
 
-    def _propagate(self, descend: bool = False) -> int | None:
+    def _propagate(self, descend: bool = False, decision: int = 0) -> int | None:
         """Propagate to fixpoint; returns a falsified clause index or None.
 
-        With `descend`, each conflict-free fixpoint opens the next 0-first
-        level (see the class docstring), and the call returns None only
-        once every variable is assigned.
+        A nonzero `decision` is a literal on an unassigned variable: the
+        call first opens a decision level that assigns it, as every level
+        is opened (see the class docstring). A conflict-free fixpoint that
+        leaves a variable unassigned moves `_next_var` to the lowest one.
+        With `descend`, each such fixpoint opens the next level on that
+        variable, assigned False, and the call returns None only once
+        every variable is assigned.
         """
         # Attributes are read into locals once per call: this loop runs on
         # instances of two classes, so attribute lookups on self miss the
@@ -458,6 +455,17 @@ class Propagator:
         qhead = self.qhead
         start = len(trail)
         while True:
+            if decision:  # the one place a level opens; no propagation
+                self.decisions += 1
+                self.trail_lim.append(len(trail))
+                depth += 1
+                self.decision_level = depth
+                assign[decision] = 1
+                assign[-decision] = -1
+                level[decision] = depth
+                reason[decision] = None
+                trail.append(decision)
+                start += 1
             while qhead < len(trail):
                 false_lit = -trail[qhead]
                 qhead += 1
@@ -508,24 +516,15 @@ class Propagator:
                             self.propagations += len(trail) - start
                             return ci
                 del watchers[j:]
-            if not descend or qhead == self.num_vars:
+            if qhead == self.num_vars:
                 break
-            # The next 0-first level, as `decide(_pick_branch(), False)`
-            # would open it; its decision is no propagation.
             v = self._next_var
             while assign[v]:
                 v += 1
             self._next_var = v
-            self.decisions += 1
-            self.trail_lim.append(qhead)
-            depth += 1
-            self.decision_level = depth
-            assign[-v] = 1
-            assign[v] = -1
-            level[-v] = depth
-            reason[-v] = None
-            trail.append(-v)
-            start += 1
+            if not descend:
+                break
+            decision = -v
         self.qhead = qhead
         self.propagations += qhead - start
         return None
@@ -533,21 +532,21 @@ class Propagator:
     # -- search interface for branch-and-bound --------------------------------
 
     def decide(self, var: int, value: bool) -> bool:
-        """Open a decision level, assign, propagate; False on conflict, with
-        the falsified clause's index left in `conflict`. A store already
-        UNSAT at the root propagates nothing: False, with `conflict` None."""
+        """Check the variable, then have the kernel open a decision level
+        that assigns it and propagate; False on conflict, with the falsified
+        clause's index left in `conflict`. A store already UNSAT at the root
+        gives False with `conflict` None: the level is opened all the same,
+        so that `backtrack` undoes it, and what the kernel propagates there
+        (the root units queued before the refuted clause, and what they and
+        the decision imply through the clauses attached) means nothing."""
         if type(var) is not int or not 1 <= var <= self.num_vars:
             raise ValueError(f"invalid variable {var!r}")
         if self.assign[var]:
             raise ValueError(f"variable {var} is already assigned")
-        self.decisions += 1
-        self.trail_lim.append(len(self.trail))
-        self.decision_level += 1
-        self._enqueue(var if value else -var, None)
+        self.conflict = self._propagate(decision=var if value else -var)
         if self.conflicting:
             self.conflict = None
             return False
-        self.conflict = self._propagate()
         return self.conflict is None
 
     def backtrack(self) -> None:

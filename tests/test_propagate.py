@@ -11,16 +11,19 @@ when all its literals are positive: there the scan starts after the
 position where the last one stopped and wraps around (Gent, JAIR 2013). A
 posted clause, blocking or learned, first tests the position after its
 last replacement, if that was not its last position, and scans from
-position 2 on only if that literal is false. In descend mode, as SAT's
-solve calls it, each conflict-free fixpoint opens a level that assigns
-the lowest unassigned variable False, found by a scan from variable 1.
-The reference keeps its own scan state, in a dict on the store, and reads
+position 2 on only if that literal is false. A nonzero `decision`, as
+`decide` hands it in, opens a level for that literal, in the block that
+opens the descent's levels. Each conflict-free fixpoint that leaves a
+variable unassigned sets the branching cursor `_next_var` to the lowest
+one, found by a scan from variable 1; in descend mode, as SAT's solve
+calls it, it then opens a level that assigns that variable False. The
+reference keeps its own scan state, in a dict on the store, and reads
 nothing of the kernel's, its branching cursor included. The kernel in
-`search.py` must leave the same trail, levels, reasons, decisions,
+`search.py` must leave the same trail, levels, reasons, decisions, cursor,
 conflicts, counters, watch lists and held clauses after every step; only
 the order of a clause's two watched literals may differ, so every position
 from 2 on is checked, literal by literal. `assert_store_invariant` checks
-where each stored clause is listed or filed.
+where each stored clause is listed or filed, and the cursor.
 """
 
 import itertools
@@ -44,7 +47,7 @@ RING_SCANS = Counter()  # watch moves in the non-emptiness clause, and those tha
 PROBES = Counter()
 
 
-def reference_propagate(self, descend=False):
+def reference_propagate(self, descend=False, decision=0):
     assign = self.assign
     clauses = self.clauses
     watches = self.watches
@@ -60,6 +63,18 @@ def reference_propagate(self, descend=False):
         ring = None
     probes = vars(self).setdefault("reference_probes", {})  # posted clause -> position
     while True:
+        if decision:
+            # A decision level, for the literal handed in or the descent's
+            # 0-first one; the decision is no propagation.
+            self.decisions += 1
+            self.trail_lim.append(len(trail))
+            self.decision_level = depth = depth + 1
+            assign[decision] = 1
+            assign[-decision] = -1
+            level[decision] = depth
+            reason[decision] = None
+            push(decision)
+            start += 1
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
@@ -122,20 +137,14 @@ def reference_propagate(self, descend=False):
                         self.propagations += len(trail) - start
                         return ci
             del watchers[j:]
-        if not descend or len(trail) == self.num_vars:
+        if len(trail) == self.num_vars:
             break
-        # A 0-first decision on the lowest unassigned variable, found by a
-        # scan from variable 1: the kernel's cursor is not read.
-        v = next(v for v in range(1, self.num_vars + 1) if not assign[v])
-        self.decisions += 1
-        self.trail_lim.append(len(trail))
-        self.decision_level = depth = depth + 1
-        assign[-v] = 1
-        assign[v] = -1
-        level[-v] = depth
-        reason[-v] = None
-        push(-v)
-        start += 1
+        # The lowest unassigned variable, found by a scan from variable 1:
+        # the kernel's cursor is set, not read.
+        self._next_var = next(v for v in range(1, self.num_vars + 1) if not assign[v])
+        if not descend:
+            break
+        decision = -self._next_var
     self.qhead = qhead
     self.propagations += qhead - start
     return None
@@ -146,8 +155,10 @@ def assert_store_invariant(prop):
     of its two watched literals, or is filed under its watch at position 0,
     which is true, and listed under that watch alone. Only a clause posted
     after the formula's own is filed, and nothing is filed under a literal
-    that is not true. Nothing else is listed or filed."""
+    that is not true. Nothing else is listed or filed. Every variable below
+    the branching cursor is assigned."""
     n = prop.num_vars
+    assert all(prop.assign[v] for v in range(1, prop._next_var)), "free below the cursor"
     listed = Counter((lit, ci) for lit in range(-n, n + 1) for ci in prop.watches[lit])
     filed = {}
     for lit, held in prop.held.items():
@@ -198,6 +209,7 @@ def assert_same_state(real, ref, returned):
     assert [real.reason[q] for q in real.trail] == [ref.reason[q] for q in ref.trail]
     assert real.propagations == ref.propagations
     assert real.decisions == ref.decisions
+    assert real._next_var == ref._next_var
     assert real.watches == ref.watches
     assert real.held == ref.held
     for a, b in zip(real.clauses, ref.clauses, strict=True):
@@ -267,17 +279,19 @@ def test_kernel_matches_the_reference_kernel_step_by_step(base):
 def recording(base):
     """`base` with every kernel call recorded, with what it returned and the
     state it left: the trail with its levels and reasons, the decision
-    levels, the counters, the watch lists, the held clauses and the stored
-    clauses (their two watched literals in either order)."""
+    levels, the counters, the branching cursor, the watch lists, the held
+    clauses and the stored clauses (their two watched literals in either
+    order)."""
 
     class Recording(base):
-        def _propagate(self, descend=False):
-            returned = super()._propagate(descend)
+        def _propagate(self, descend=False, decision=0):
+            returned = super()._propagate(descend, decision)
             trail = self.trail
             vars(self).setdefault("calls", []).append((
-                descend, returned, list(trail), list(self.trail_lim), self.qhead,
+                descend, decision, returned, list(trail), list(self.trail_lim), self.qhead,
                 [self.level[q] for q in trail], [self.reason[q] for q in trail],
-                self.decisions, self.propagations, [list(w) for w in self.watches],
+                self.decisions, self.propagations, self._next_var,
+                [list(w) for w in self.watches],
                 {lit: list(held) for lit, held in self.held.items()},
                 [(sorted(c[:2]), c[2:]) for c in self.clauses]))
             return returned
