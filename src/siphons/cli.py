@@ -287,7 +287,7 @@ def cmd_stats(args) -> int:
             "transitions": len(net.transitions),
             "count": len(result.sets),
             "sizes": sorted(len(s) for s in result.sets),
-            "elapsed_ms": result.stats.elapsed_ms,
+            "elapsed_ms": round(result.stats.elapsed_ms, 3),
             "timed_out": result.stats.timed_out,
         })
     summary = {

@@ -196,6 +196,11 @@ class Propagator:
     it is: its false watch is unassigned only when that level is undone,
     so leaving would save no visit. Input clauses stay too: putting them
     back on every backtrack costs more than it saves.
+    A posted clause that a later one subsumes may be detached (`_detach`):
+    it leaves every list for good but stays in `clauses`, so clause indices
+    stay valid. The SAT solver detaches only the conflict clause and
+    reasons at the conflict level, which its backjump undoes, so a detached
+    clause is never a reason again.
     A watch move takes the first literal that is not false among the
     positions `spans[ci]` lists, by one of three rules:
     - an input clause scans from position 2, as MiniSat does;
@@ -413,6 +418,20 @@ class Propagator:
             watches[clause[0]].append(ci)
             watches[clause[1]].append(ci)
         return ci
+
+    def _detach(self, ci: int) -> None:
+        """Take posted clause `ci`, a reason for no literal below the current
+        level, off its watch lists, or off its true watch's list and its
+        `held` list, for good; it stays stored."""
+        first, second = self.clauses[ci][:2]
+        self.watches[first].remove(ci)
+        filed = self.held.get(first, ())
+        if ci in filed:
+            filed.remove(ci)
+            if not filed:
+                del self.held[first]
+        else:
+            self.watches[second].remove(ci)
 
     # -- unit propagation ---------------------------------------------------
 

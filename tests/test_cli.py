@@ -320,6 +320,9 @@ def test_stats_json(models_dir):
     summary = doc["summary"]
     assert summary["models"] == len(doc["models"])
     assert summary["count_max"] >= 8 and summary["unparseable"] == []
+    # each model's time is rounded to 3 places, as `analyze` and the total are
+    for ms in [m["elapsed_ms"] for m in doc["models"]] + [summary["total_ms"]]:
+        assert ms == round(ms, 3)
 
 
 def test_stats_reads_only_regular_files(models_dir, tmp_path):

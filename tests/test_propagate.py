@@ -23,7 +23,8 @@ nothing of the kernel's, its branching cursor included. The kernel in
 conflicts, counters, watch lists and held clauses after every step; only
 the order of a clause's two watched literals may differ, so every position
 from 2 on is checked, literal by literal. `assert_store_invariant` checks
-where each stored clause is listed or filed, and the cursor.
+where each stored clause is listed or filed, that a clause on no list is
+subsumed, and the cursor.
 """
 
 import itertools
@@ -155,8 +156,11 @@ def assert_store_invariant(prop):
     of its two watched literals, or is filed under its watch at position 0,
     which is true, and listed under that watch alone. Only a clause posted
     after the formula's own is filed, and nothing is filed under a literal
-    that is not true. Nothing else is listed or filed. Every variable below
-    the branching cursor is assigned."""
+    that is not true. A clause that is neither listed nor filed has been
+    detached: it must be posted, and a proper superset of a posted clause
+    that is still listed or filed, or of a unit at the root, as a learned
+    unit goes in. Nothing else is listed or filed. Every variable below the
+    branching cursor is assigned."""
     n = prop.num_vars
     assert all(prop.assign[v] for v in range(1, prop._next_var)), "free below the cursor"
     listed = Counter((lit, ci) for lit in range(-n, n + 1) for ci in prop.watches[lit])
@@ -166,15 +170,25 @@ def assert_store_invariant(prop):
         for ci in held:
             assert ci not in filed and ci >= prop.num_input
             filed[ci] = lit
+    detached = set()
     for ci, clause in enumerate(prop.clauses):
         assert len(clause) >= 2
         under = [w for w in clause[:2] if listed.pop((w, ci), 0) == 1]
         if ci in filed:
             assert clause[0] == filed.pop(ci), f"clause {ci} is filed under its false watch"
             assert under == [clause[0]], f"clause {ci} is filed, not listed under its true watch"
-        else:
+        elif under:
             assert len(under) == 2, f"clause {ci} is neither filed nor listed under both watches"
+        else:
+            assert ci >= prop.num_input, f"input clause {ci} is detached"
+            detached.add(ci)
     assert not listed
+    attached = [set(prop.clauses[ci]) for ci in range(prop.num_input, len(prop.clauses))
+                if ci not in detached]
+    attached += [{q} for q in prop.trail[:prop.trail_lim[0] if prop.trail_lim else None]]
+    for ci in detached:
+        assert any(kept < set(prop.clauses[ci]) for kept in attached), (
+            f"clause {ci} is detached, not subsumed")
 
 
 def random_formula(rng):
@@ -423,6 +437,28 @@ def test_a_clause_filed_under_an_assumption_is_put_back_at_the_root():
     assert_store_invariant(store)
 
 
+def test_a_detached_clause_is_on_no_list_and_is_not_put_back():
+    # Clauses 2 and 3 hold clause 1, (-2 or -3). `_detach` takes clause 2
+    # off both its watch lists at the root, and clause 3, filed under -2
+    # with clause 1 when 4 forces 3 at level 3, off the list of -2 and out
+    # of `held`; the backtracks put back clause 1 alone.
+    formula = CnfFormula(4)
+    formula.add_clause([-4, 3])
+    store = Propagator(formula)
+    for clause in ([-2, -3], [-3, -2, -1], [-3, -2, -4]):
+        assert store.add_clause(clause)
+    store._detach(2)
+    assert store.decide(1, True) and store.decide(2, False) and store.decide(4, True)
+    assert store.held == {-2: [1, 3]}
+    store._detach(3)
+    assert store.held == {-2: [1]}
+    assert_store_invariant(store)
+    for _ in range(3):
+        store.backtrack()
+    assert not store.held and store.watches[-3] == [1] and store.watches[-2] == [1]
+    assert_store_invariant(store)
+
+
 def test_posted_clauses_scan_few_positions(monkeypatch):
     # Positions tested in blocking and learned clauses, counted by the
     # reference kernel, which the kernel matches step by step (above).
@@ -433,14 +469,29 @@ def test_posted_clauses_scan_few_positions(monkeypatch):
     # long (about 90 literals) and overlap: scanning them from position 2
     # tested 104,889 and 247,482 positions, and circular scanning, which walks
     # their false tail, more. Its counts are pinned, so a rule that costs the
-    # long clauses shows. Counts do not depend on the machine.
+    # long clauses shows. SAT detaches the posted clauses that each learned
+    # clause subsumes among those it resolved on: 1,524 of them on
+    # gen_chain(10), which cut its tested positions from 20,978 to 11,937,
+    # and 132 at alpha=4.26, from 104,867 to 88,972; bb learns nothing, so
+    # it detaches none. Counts do not depend on the machine.
     monkeypatch.setattr(Propagator, "_propagate", reference_propagate)
-    steps = {}
+    detach, detached = Propagator._detach, []
+
+    def counted_detach(store, ci):
+        detached.append(ci)
+        detach(store, ci)
+
+    monkeypatch.setattr(Propagator, "_detach", counted_detach)
+    steps, detaches = {}, {}
     for name, net in (("chain", gen_chain(10)),
                       ("reduction", gen_3sat_reduction(gen_random_3sat(50, 213, 0)))):
         for engine in ("sat", "bb"):
             PROBES.clear()
+            detached.clear()
             assert enumerate_minimal_siphons(net, engine=engine).complete
             steps[name, engine] = PROBES["steps"]
-    assert steps["chain", "sat"] < 25_000 and steps["chain", "bb"] < 21_000
-    assert steps["reduction", "sat"] == 104_867 and steps["reduction", "bb"] == 252_456
+            detaches[name, engine] = len(detached)
+    assert steps["chain", "sat"] == 11_937 and steps["chain", "bb"] < 21_000
+    assert steps["reduction", "sat"] == 88_972 and steps["reduction", "bb"] == 252_456
+    assert detaches["chain", "sat"] == 1_524 and detaches["chain", "bb"] == 0
+    assert detaches["reduction", "sat"] == 132 and detaches["reduction", "bb"] == 0
